@@ -116,12 +116,13 @@ impl MeHpt {
         mem: &mut PhysMem,
     ) -> Result<InsertReport, AllocError> {
         self.table_mut(ps, mem)?;
-        let l2p = &mut self.l2p;
-        let report = self.tables[ps.index()]
-            .as_mut()
-            .expect("created above")
-            .insert(vpn, ppn, mem, l2p)?;
-        self.cwt.note_map(vpn, ps);
+        let table = self.tables[ps.index()].as_mut().expect("created above");
+        let pages = table.pages();
+        let report = table.insert(vpn, ppn, mem, &mut self.l2p)?;
+        // An update of an existing PTE (a remap) adds no page to the region.
+        if table.pages() > pages {
+            self.cwt.note_map(vpn, ps);
+        }
         Ok(report)
     }
 
@@ -194,11 +195,8 @@ impl HptView for MeHpt {
         self.cwt.pmd_mask(va)
     }
 
-    fn probe_addrs(&self, ps: PageSize, vpn: Vpn) -> Vec<PhysAddr> {
-        self.tables[ps.index()]
-            .as_ref()
-            .map(|t| t.probe_addrs(vpn))
-            .unwrap_or_default()
+    fn probe(&self, ps: PageSize, vpn: Vpn, out: &mut Vec<PhysAddr>) -> Option<Ppn> {
+        self.tables[ps.index()].as_ref()?.probe(vpn, out)
     }
 
     fn translate(&self, va: VirtAddr) -> Option<(Ppn, PageSize)> {

@@ -112,8 +112,11 @@ impl Storage {
     /// The physical address of logical entry `idx` — the L2P translation:
     /// chunk `idx / entries_per_chunk`, offset `idx % entries_per_chunk`.
     fn addr(&self, idx: usize) -> PhysAddr {
+        // Chunk sizes are powers of two (`ChunkSizePolicy::new`), so the
+        // split is a shift and a mask rather than a division.
         let epc = self.epc();
-        self.chunks[idx / epc].addr((idx % epc) as u64 * ClusterEntry::BYTES)
+        let chunk = idx >> epc.trailing_zeros();
+        self.chunks[chunk].addr((idx & (epc - 1)) as u64 * ClusterEntry::BYTES)
     }
 
     fn bytes(&self) -> u64 {
@@ -380,14 +383,28 @@ impl MeHptTable {
     /// that produces these addresses costs ~4 cycles in hardware and is
     /// hidden behind the CWC access (Section V-D).
     pub fn probe_addrs(&self, vpn: Vpn) -> Vec<PhysAddr> {
+        let mut addrs = Vec::with_capacity(self.ways.len());
+        self.probe(vpn, &mut addrs);
+        addrs
+    }
+
+    /// One hardware probe of `vpn`: appends the W slot addresses of
+    /// [`MeHptTable::probe_addrs`] to `out` and returns what
+    /// [`MeHptTable::lookup`] would, hashing each way once.
+    pub(crate) fn probe(&self, vpn: Vpn, out: &mut Vec<PhysAddr>) -> Option<Ppn> {
         let tag = ClusterEntry::tag_of(vpn);
-        (0..self.ways.len())
-            .map(|w| {
-                let h = self.family.hash(w, &tag);
-                let (in_old, idx) = self.ways[w].locate(h);
-                self.ways[w].addr(in_old, idx)
-            })
-            .collect()
+        let mut found = None;
+        for (w, way) in self.ways.iter().enumerate() {
+            let (in_old, idx) = way.locate(self.family.hash(w, &tag));
+            out.push(way.addr(in_old, idx));
+            // Read slots only until the tag is found, like `lookup`.
+            if found.is_none() {
+                if let Some(cluster) = way.slot(in_old, idx).as_ref().filter(|c| c.tag() == tag) {
+                    found = Some(cluster.get(vpn));
+                }
+            }
+        }
+        found.flatten()
     }
 
     /// Inserts (or updates) the translation `vpn → ppn`.

@@ -2,7 +2,7 @@
 //! walker timing, chunk-size transitions, and paper-shape invariants.
 
 use mehpt_core::{ChunkSizePolicy, MeHpt, MeHptConfig};
-use mehpt_ecpt::EcptWalker;
+use mehpt_ecpt::{EcptWalker, HptView};
 use mehpt_hash::ResizeKind;
 use mehpt_mem::{AllocCostModel, AllocTag, Fragmenter, PhysMem};
 use mehpt_tlb::MemoryModel;
@@ -225,4 +225,24 @@ fn deterministic_across_runs() {
         )
     };
     assert_eq!(run(), run());
+}
+
+#[test]
+fn remap_then_unmap_clears_cwt_masks() {
+    // A remap (map over a live PTE, as after compaction) adds no page to
+    // the region, so the one unmap must clear its page-size bits.
+    let mut m = mem(GIB);
+    let mut hpt = MeHpt::new(&mut m).unwrap();
+    for (va, ps) in [
+        (VirtAddr::new(0x1234_5000), PageSize::Base4K),
+        (VirtAddr::new(0x8020_0000), PageSize::Huge2M),
+    ] {
+        let vpn = va.vpn(ps);
+        hpt.map(vpn, ps, Ppn(9), &mut m).unwrap();
+        hpt.map(vpn, ps, Ppn(10), &mut m).unwrap();
+        assert_eq!(hpt.translate(va), Some((Ppn(10), ps)));
+        assert_eq!(hpt.unmap(vpn, ps, &mut m), Some(Ppn(10)));
+        assert_eq!(hpt.pmd_mask(va), None, "{ps:?}");
+        assert_eq!(hpt.pud_mask(va), None, "{ps:?}");
+    }
 }

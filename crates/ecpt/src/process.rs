@@ -85,8 +85,13 @@ impl Ecpt {
         ppn: Ppn,
         mem: &mut PhysMem,
     ) -> Result<InsertReport, AllocError> {
-        let report = self.table_mut(ps, mem)?.insert(vpn, ppn, mem)?;
-        self.cwt.note_map(vpn, ps);
+        let table = self.table_mut(ps, mem)?;
+        let pages = table.pages();
+        let report = table.insert(vpn, ppn, mem)?;
+        // An update of an existing PTE (a remap) adds no page to the region.
+        if table.pages() > pages {
+            self.cwt.note_map(vpn, ps);
+        }
         Ok(report)
     }
 
@@ -167,11 +172,8 @@ impl HptView for Ecpt {
         Ecpt::pmd_mask(self, va)
     }
 
-    fn probe_addrs(&self, ps: PageSize, vpn: Vpn) -> Vec<PhysAddr> {
-        self.tables[ps.index()]
-            .as_ref()
-            .map(|t| t.probe_addrs(vpn))
-            .unwrap_or_default()
+    fn probe(&self, ps: PageSize, vpn: Vpn, out: &mut Vec<PhysAddr>) -> Option<Ppn> {
+        self.tables[ps.index()].as_ref()?.probe(vpn, out)
     }
 
     fn translate(&self, va: VirtAddr) -> Option<(Ppn, PageSize)> {

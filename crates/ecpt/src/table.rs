@@ -310,14 +310,28 @@ impl EcptTable {
     /// way, honoring the rehash pointers (Section II-B: "a lookup operation
     /// during resizing only needs W probes").
     pub fn probe_addrs(&self, vpn: Vpn) -> Vec<PhysAddr> {
+        let mut addrs = Vec::with_capacity(self.ways.len());
+        self.probe(vpn, &mut addrs);
+        addrs
+    }
+
+    /// One hardware probe of `vpn`: appends the W slot addresses of
+    /// [`EcptTable::probe_addrs`] to `out` and returns what
+    /// [`EcptTable::lookup`] would, hashing each way once.
+    pub(crate) fn probe(&self, vpn: Vpn, out: &mut Vec<PhysAddr>) -> Option<Ppn> {
         let tag = ClusterEntry::tag_of(vpn);
-        (0..self.ways.len())
-            .map(|w| {
-                let h = self.family.hash(w, &tag);
-                let (in_old, idx) = self.ways[w].locate(h);
-                self.ways[w].addr(in_old, idx)
-            })
-            .collect()
+        let mut found = None;
+        for (w, way) in self.ways.iter().enumerate() {
+            let (in_old, idx) = way.locate(self.family.hash(w, &tag));
+            out.push(way.addr(in_old, idx));
+            // Read slots only until the tag is found, like `lookup`.
+            if found.is_none() {
+                if let Some(cluster) = way.slot(in_old, idx).as_ref().filter(|c| c.tag() == tag) {
+                    found = Some(cluster.get(vpn));
+                }
+            }
+        }
+        found.flatten()
     }
 
     /// Inserts (or updates) the translation `vpn → ppn`.

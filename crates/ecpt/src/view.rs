@@ -15,9 +15,19 @@ pub trait HptView {
     /// The page sizes mapped in `va`'s 2MB region (bits 0–1), or `None`.
     fn pmd_mask(&self, va: VirtAddr) -> Option<u8>;
 
+    /// One hardware probe of the `ps` table for `vpn`: appends the
+    /// physical addresses of its W way slots to `out` (nothing if no page
+    /// of that size was ever mapped), honoring in-flight resize state, and
+    /// returns the translation those slots hold. Each way is hashed once.
+    fn probe(&self, ps: PageSize, vpn: Vpn, out: &mut Vec<PhysAddr>) -> Option<Ppn>;
+
     /// The physical addresses of the W way slots a walker probes for `vpn`
     /// in the `ps` table, honoring in-flight resize state.
-    fn probe_addrs(&self, ps: PageSize, vpn: Vpn) -> Vec<PhysAddr>;
+    fn probe_addrs(&self, ps: PageSize, vpn: Vpn) -> Vec<PhysAddr> {
+        let mut addrs = Vec::new();
+        self.probe(ps, vpn, &mut addrs);
+        addrs
+    }
 
     /// Functional translation (ground truth).
     fn translate(&self, va: VirtAddr) -> Option<(Ppn, PageSize)>;

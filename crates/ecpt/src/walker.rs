@@ -10,6 +10,9 @@ use crate::view::HptView;
 const PUD_CWT_BASE: u64 = 1 << 40;
 /// Synthetic physical base of the in-memory PMD-CWT.
 const PMD_CWT_BASE: u64 = 1 << 41;
+/// Initial probe-group capacity: both CWT fetches plus three page sizes of
+/// up to four ways. Wider tables grow the buffer once, on their first walk.
+const GROUP_CAPACITY: usize = 2 + 3 * 4;
 
 /// Configuration of the hardware cuckoo walker (Table III).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,6 +71,9 @@ pub struct EcptWalker {
     pmd_cwc: SetAssocCache,
     pud_cwc: SetAssocCache,
     cfg: EcptWalkerConfig,
+    /// The probe group of the current walk, reused so walks do not
+    /// allocate.
+    group: Vec<PhysAddr>,
     walks: u64,
     total_cycles: u64,
     total_accesses: u64,
@@ -86,6 +92,7 @@ impl EcptWalker {
             pmd_cwc: SetAssocCache::fully_associative(cfg.pmd_cwc_entries),
             pud_cwc: SetAssocCache::fully_associative(cfg.pud_cwc_entries),
             cfg,
+            group: Vec::with_capacity(GROUP_CAPACITY),
             walks: 0,
             total_cycles: 0,
             total_accesses: 0,
@@ -123,27 +130,36 @@ impl EcptWalker {
             (true, false) => pud_mask, // refine small sizes speculatively
             (false, _) => 0b111,       // probe everything
         };
-        let mut group: Vec<PhysAddr> = Vec::with_capacity(11);
+        // The probe group, in the issue order `last_probe_group` documents;
+        // the non-flat memory model's cache state depends on it.
+        let group = &mut self.group;
+        group.clear();
+        let [pud_cwt, pmd_cwt] = EcptWalker::cwt_addrs(va);
         if !pud_cached {
-            group.push(PhysAddr::new(PUD_CWT_BASE + pud_key * 8));
+            group.push(pud_cwt);
             self.cwt_walks += 1;
             self.pud_cwc.fill(pud_key);
         }
         if !pmd_cached {
-            group.push(PhysAddr::new(PMD_CWT_BASE + pmd_key * 8));
+            group.push(pmd_cwt);
             self.cwt_walks += 1;
             self.pmd_cwc.fill(pmd_key);
         }
+        // The CWT masks cover every mapped size, so the largest size that
+        // hits among the probed ones is the functional translation.
+        let mut translation = None;
         for ps in PAGE_SIZES {
             if sizes & size_bit(ps) != 0 {
-                group.extend(ecpt.probe_addrs(ps, va.vpn(ps)));
+                if let Some(ppn) = ecpt.probe(ps, va.vpn(ps), group) {
+                    translation = Some((ppn, ps));
+                }
             }
         }
+        debug_assert_eq!(translation, ecpt.translate(va), "walk missed {va:?}");
         let accesses = group.len() as u32;
         if !group.is_empty() {
-            cycles += mem.access_parallel(&group);
+            cycles += mem.access_parallel(group);
         }
-        let translation = ecpt.translate(va);
         self.total_cycles += cycles;
         self.total_accesses += accesses as u64;
         HptWalkResult {
@@ -151,6 +167,22 @@ impl EcptWalker {
             cycles,
             memory_accesses: accesses,
         }
+    }
+
+    /// The in-memory PUD-CWT and PMD-CWT entries a CWC miss fetches for
+    /// `va`'s 1GB and 2MB regions.
+    pub fn cwt_addrs(va: VirtAddr) -> [PhysAddr; 2] {
+        [
+            PhysAddr::new(PUD_CWT_BASE + (va.0 >> 30) * 8),
+            PhysAddr::new(PMD_CWT_BASE + (va.0 >> 21) * 8),
+        ]
+    }
+
+    /// The addresses the most recent walk sent to memory, in issue order:
+    /// the CWT entries of missed CWCs (PUD first), then the W slots of each
+    /// probed page size, smallest size first.
+    pub fn last_probe_group(&self) -> &[PhysAddr] {
+        &self.group
     }
 
     /// Drops cached CWC state for the regions containing `va`; the OS calls

@@ -171,6 +171,26 @@ fn cwt_masks_track_mappings() {
 }
 
 #[test]
+fn remap_then_unmap_clears_cwt_masks() {
+    // A remap (map over a live PTE, as after compaction) adds no page to
+    // the region, so the one unmap must clear its page-size bits.
+    let mut m = mem(GIB);
+    let mut ecpt = Ecpt::new(&mut m).unwrap();
+    for (va, ps) in [
+        (VirtAddr::new(0x1234_5000), PageSize::Base4K),
+        (VirtAddr::new(0x8020_0000), PageSize::Huge2M),
+    ] {
+        let vpn = va.vpn(ps);
+        ecpt.map(vpn, ps, Ppn(9), &mut m).unwrap();
+        ecpt.map(vpn, ps, Ppn(10), &mut m).unwrap();
+        assert_eq!(ecpt.translate(va), Some((Ppn(10), ps)));
+        assert_eq!(ecpt.unmap(vpn, ps, &mut m), Some(Ppn(10)));
+        assert_eq!(ecpt.pmd_mask(va), None, "{ps:?}");
+        assert_eq!(ecpt.pud_mask(va), None, "{ps:?}");
+    }
+}
+
+#[test]
 fn walker_parallel_probe_beats_radix_chain() {
     let mut m = mem(GIB);
     let mut ecpt = Ecpt::new(&mut m).unwrap();

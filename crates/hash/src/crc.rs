@@ -3,25 +3,63 @@ use std::hash::{Hash, Hasher};
 /// The CRC-64/ECMA-182 polynomial (normal form).
 const CRC64_POLY: u64 = 0x42F0_E1EB_A9EA_3693;
 
-/// Computes the 256-entry CRC-64 lookup table at first use.
-fn crc64_table() -> &'static [u64; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u64; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = (i as u64) << 56;
-            for _ in 0..8 {
-                crc = if crc & (1 << 63) != 0 {
-                    (crc << 1) ^ CRC64_POLY
-                } else {
-                    crc << 1
-                };
-            }
-            *slot = crc;
+/// Slicing-by-8 lookup tables, built at compile time.
+///
+/// `CRC64_TABLES[0]` is the classic byte-at-a-time table: the CRC of one
+/// byte `i` from a zero register. `CRC64_TABLES[k][i]` is that byte followed
+/// by `k` zero bytes, so [`crc64_word`] can fold the eight bytes of a word in
+/// independent lookups instead of eight dependent steps.
+static CRC64_TABLES: [[u64; 256]; 8] = crc64_tables();
+
+const fn crc64_tables() -> [[u64; 256]; 8] {
+    let mut tables = [[0u64; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = (i as u64) << 56;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & (1 << 63) != 0 {
+                (crc << 1) ^ CRC64_POLY
+            } else {
+                crc << 1
+            };
+            bit += 1;
         }
-        table
-    })
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev >> 56) as usize] ^ (prev << 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// The CRC-64/ECMA checksum of the eight bytes `bytes`, starting from
+/// `init`: equal to `crc64(init, &bytes)`, in eight independent table
+/// lookups instead of eight dependent ones.
+#[inline]
+fn crc64_word(init: u64, bytes: [u8; 8]) -> u64 {
+    // The register is 64 bits wide, so after eight bytes every bit of
+    // `init` has been shifted out through the table index: the result is
+    // the XOR of each byte of `init ^ bytes` (MSB-first) pushed through the
+    // table for its distance from the end.
+    let x = init ^ u64::from_be_bytes(bytes);
+    let t = &CRC64_TABLES;
+    t[7][(x >> 56) as usize]
+        ^ t[6][(x >> 48) as u8 as usize]
+        ^ t[5][(x >> 40) as u8 as usize]
+        ^ t[4][(x >> 32) as u8 as usize]
+        ^ t[3][(x >> 24) as u8 as usize]
+        ^ t[2][(x >> 16) as u8 as usize]
+        ^ t[1][(x >> 8) as u8 as usize]
+        ^ t[0][x as u8 as usize]
 }
 
 /// Computes the CRC-64/ECMA checksum of `bytes` starting from `init`.
@@ -38,7 +76,7 @@ fn crc64_table() -> &'static [u64; 256] {
 /// assert_ne!(crc64(0, b"abc"), crc64(1, b"abc"));
 /// ```
 pub fn crc64(init: u64, bytes: &[u8]) -> u64 {
-    let table = crc64_table();
+    let table = &CRC64_TABLES[0];
     let mut crc = init;
     for &b in bytes {
         crc = table[(((crc >> 56) as u8) ^ b) as usize] ^ (crc << 8);
@@ -67,6 +105,7 @@ impl Crc64Hasher {
 }
 
 impl Hasher for Crc64Hasher {
+    #[inline]
     fn finish(&self) -> u64 {
         // splitmix64 finalizer: decorrelates CRC's linear structure.
         let mut z = self.state;
@@ -77,6 +116,14 @@ impl Hasher for Crc64Hasher {
 
     fn write(&mut self, bytes: &[u8]) {
         self.state = crc64(self.state, bytes);
+    }
+
+    /// The same value as [`Hasher::write`] on `i.to_ne_bytes()` (the
+    /// default `write_u64`), one word at a time. Every page-table hash key
+    /// is a `u64` tag, so this is the hot path of every probe.
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.state = crc64_word(self.state, i.to_ne_bytes());
     }
 }
 
@@ -129,6 +176,7 @@ impl HashFamily {
     /// # Panics
     ///
     /// Panics if `way` is out of range.
+    #[inline]
     pub fn hash<K: Hash + ?Sized>(&self, way: usize, key: &K) -> u64 {
         let mut hasher = Crc64Hasher::new(self.inits[way]);
         key.hash(&mut hasher);
@@ -139,6 +187,56 @@ impl HashFamily {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mehpt_types::proptest_lite::{check, Gen};
+
+    #[test]
+    fn word_crc_equals_byte_crc() {
+        check("word_crc_equals_byte_crc", 512, |g: &mut Gen| {
+            let (init, key) = (g.u64(), g.u64());
+            for bytes in [key.to_le_bytes(), key.to_be_bytes()] {
+                assert_eq!(crc64_word(init, bytes), crc64(init, &bytes));
+            }
+        });
+    }
+
+    #[test]
+    fn hashing_a_u64_takes_the_word_path_with_the_byte_result() {
+        check("hashing_a_u64_takes_the_word_path", 256, |g: &mut Gen| {
+            let (init, key) = (g.u64(), g.u64());
+            let mut word = Crc64Hasher::new(init);
+            key.hash(&mut word);
+            let mut bytes = Crc64Hasher::new(init);
+            bytes.write(&key.to_ne_bytes());
+            assert_eq!(word.finish(), bytes.finish());
+        });
+    }
+
+    #[test]
+    fn family_hashes_are_pinned() {
+        // `(ways, seed, way, key, hash)`, taken from the byte-at-a-time
+        // CRC. Every page-table slot index derives from these values.
+        const PINNED: [(usize, u64, usize, u64, u64); 12] = [
+            (3, 0xec9_7ab1e, 0, 0x0, 0x7202_4d96_3f2d_8c48),
+            (3, 0xec9_7ab1e, 1, 0x1, 0x5f6c_4797_6902_0ee1),
+            (3, 0xec9_7ab1e, 2, 0x7f00_1234_5678, 0xc68f_425b_5391_998c),
+            (3, 0xec9_7ab1e, 1, u64::MAX, 0x5b77_3f63_2c72_7e5c),
+            (4, 0x1, 0, 0x1, 0x82f6_a056_6017_db8c),
+            (4, 0x1, 3, 0x0, 0x7318_fd95_b66f_4902),
+            (4, 0x1, 2, 0x7f00_1234_5678, 0x2794_0dae_491d_ee93),
+            (4, 0x1, 3, u64::MAX, 0xfcf0_2a05_9ed7_762c),
+            (2, 0xfeed, 0, 0x0, 0xeec7_d09c_7324_e5d6),
+            (2, 0xfeed, 1, 0x1, 0x05ce_70e7_9a8f_a9be),
+            (2, 0xfeed, 0, 0x7f00_1234_5678, 0xfa6b_b60a_cba2_09df),
+            (2, 0xfeed, 1, u64::MAX, 0x21ba_e83c_d9bc_59da),
+        ];
+        for (ways, seed, way, key, hash) in PINNED {
+            assert_eq!(
+                HashFamily::new(ways, seed).hash(way, &key),
+                hash,
+                "ways={ways} seed={seed:#x} way={way} key={key:#x}"
+            );
+        }
+    }
 
     #[test]
     fn crc_distinguishes_inputs() {

@@ -21,6 +21,33 @@ pub(crate) enum Step {
     Empty,
 }
 
+/// The deepest tree [`RadixPageTable::with_levels`] builds.
+const MAX_LEVELS: usize = 5;
+
+/// A page-walk path: one `(entry address, step)` per level read, in a
+/// fixed-capacity array so a walk never allocates. Derefs to the slice of
+/// levels actually read.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct WalkPath {
+    steps: [(PhysAddr, Step); MAX_LEVELS],
+    len: usize,
+}
+
+impl WalkPath {
+    fn push(&mut self, addr: PhysAddr, step: Step) {
+        self.steps[self.len] = (addr, step);
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for WalkPath {
+    type Target = [(PhysAddr, Step)];
+
+    fn deref(&self) -> &[(PhysAddr, Step)] {
+        &self.steps[..self.len]
+    }
+}
+
 /// An x86-64 radix page table: 4 levels (PGD → PUD → PMD → PTE, 48-bit VA)
 /// or 5 levels (la57-style, as in Intel Sunny Cove — the scalability trend
 /// the paper's introduction warns about: each extra level is another
@@ -307,8 +334,11 @@ impl RadixPageTable {
     /// The page-walk path for `va`: the physical address of the entry read
     /// at each level, and what the walker finds there. Used by
     /// [`RadixWalker`](crate::RadixWalker) to charge memory-access latency.
-    pub(crate) fn walk_path(&self, va: VirtAddr) -> Vec<(PhysAddr, Step)> {
-        let mut steps = Vec::with_capacity(self.levels);
+    pub(crate) fn walk_path(&self, va: VirtAddr) -> WalkPath {
+        let mut steps = WalkPath {
+            steps: [(PhysAddr::new(0), Step::Empty); MAX_LEVELS],
+            len: 0,
+        };
         let mut node_id = self.root;
         for level in 0..self.levels {
             let idx = self.index(va, level);
@@ -316,7 +346,7 @@ impl RadixPageTable {
             let addr = node.chunk.addr(idx as u64 * 8);
             let entry = node.entries[idx];
             if entry == 0 {
-                steps.push((addr, Step::Empty));
+                steps.push(addr, Step::Empty);
                 return steps;
             }
             if entry & TAG_LEAF != 0 {
@@ -325,10 +355,10 @@ impl RadixPageTable {
                     2 => PageSize::Huge2M,
                     _ => PageSize::Base4K,
                 };
-                steps.push((addr, Step::Leaf(Ppn(entry & PAYLOAD_MASK), ps)));
+                steps.push(addr, Step::Leaf(Ppn(entry & PAYLOAD_MASK), ps));
                 return steps;
             }
-            steps.push((addr, Step::Node));
+            steps.push(addr, Step::Node);
             node_id = (entry & PAYLOAD_MASK) as usize;
         }
         steps

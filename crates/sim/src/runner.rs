@@ -1,11 +1,10 @@
-use std::collections::{HashMap, HashSet};
-
 use mehpt_core::MeHpt;
 use mehpt_ecpt::{Ecpt, EcptWalker};
 use mehpt_hash::ResizeKind;
 use mehpt_mem::{AllocTag, Fragmenter, PhysMem};
 use mehpt_radix::{RadixPageTable, RadixWalker};
 use mehpt_tlb::{MemoryModel, TlbHierarchy};
+use mehpt_types::pagehash::{PageMap, PageSet};
 use mehpt_types::rng::Xoshiro256;
 use mehpt_types::{PageSize, Ppn, VirtAddr};
 use mehpt_workloads::{Region, Workload};
@@ -142,14 +141,14 @@ pub(crate) struct ProcState {
     workload: Workload,
     pt: Pt,
     regions: Vec<Region>,
-    huge_failed: HashSet<u64>,
+    huge_failed: PageSet<u64>,
     /// Owner of each data frame (start frame of the page's block), so
     /// compaction-driven page migrations can be applied to the page table
     /// and TLB.
-    frame_owner: HashMap<u64, (VirtAddr, PageSize)>,
+    frame_owner: PageMap<u64, (VirtAddr, PageSize)>,
     /// The OS's own view of what is mapped, at 4KB and 2MB granularity.
-    mapped_4k: HashSet<u64>,
-    mapped_2m: HashSet<u64>,
+    mapped_4k: PageSet<u64>,
+    mapped_2m: PageSet<u64>,
     /// One-entry translation micro-cache (mappings are only ever added in
     /// these traces, so entries never go stale; remaps keep the page size).
     last: Option<(u64, PageSize)>,
@@ -179,10 +178,10 @@ impl ProcState {
             workload,
             pt,
             regions,
-            huge_failed: HashSet::new(),
-            frame_owner: HashMap::new(),
-            mapped_4k: HashSet::new(),
-            mapped_2m: HashSet::new(),
+            huge_failed: PageSet::default(),
+            frame_owner: PageMap::default(),
+            mapped_4k: PageSet::default(),
+            mapped_2m: PageSet::default(),
             last: None,
             counters: Counters::default(),
             aborted: None,
@@ -353,9 +352,7 @@ impl ProcState {
     /// Assembles the final report. `machine_peak` taints per-process peaks
     /// with the machine-wide page-table high-water mark only in
     /// single-process runs (pass `None` for multiprogrammed runs).
-    pub(crate) fn into_report(mut self, cfg: &SimConfig, mem: &PhysMem) -> SimReport {
-        // Allocation cycles were accumulated per step; total includes them.
-        self.counters.total += 0;
+    pub(crate) fn into_report(self, cfg: &SimConfig, mem: &PhysMem) -> SimReport {
         let c = &self.counters;
         let total = c.total + c.alloc;
         let (walks, mean_walk_cycles, mean_walk_accesses) = match &self.pt {

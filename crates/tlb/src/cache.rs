@@ -26,6 +26,12 @@ impl CacheStats {
 /// presence is tracked (keys, no payloads) — the simulator keeps the actual
 /// data in the functional structures, and the cache decides latency.
 ///
+/// Storage is one flat key array of `sets × ways` slots plus a resident
+/// count per set: set `s` owns slots `s * ways ..`, of which the first
+/// `len[s]` hold its keys in recency order (MRU first). A hit moves the key
+/// to the front; a miss that inserts drops the last (LRU) key when the set
+/// is full. The cache allocates only at construction.
+///
 /// # Examples
 ///
 /// ```
@@ -37,9 +43,13 @@ impl CacheStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
-    /// `sets[s]` is the MRU-ordered list of resident keys (front = MRU).
-    sets: Vec<Vec<u64>>,
+    /// `keys[s * ways .. s * ways + len[s]]` is set `s`, MRU first.
+    keys: Box<[u64]>,
+    len: Box<[usize]>,
     ways: usize,
+    /// `sets - 1` when `sets` is a power of two (index by mask), else
+    /// `None` (index by modulo).
+    set_mask: Option<usize>,
     stats: CacheStats,
 }
 
@@ -58,8 +68,10 @@ impl SetAssocCache {
         assert!(sets > 0, "cache needs at least one set");
         assert!(ways > 0, "cache needs at least one way");
         SetAssocCache {
-            sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
+            keys: vec![0; sets * ways].into_boxed_slice(),
+            len: vec![0; sets].into_boxed_slice(),
             ways,
+            set_mask: sets.is_power_of_two().then_some(sets - 1),
             stats: CacheStats::default(),
         }
     }
@@ -71,27 +83,67 @@ impl SetAssocCache {
 
     /// Total entry capacity.
     pub fn capacity(&self) -> usize {
-        self.sets.len() * self.ways
+        self.keys.len()
+    }
+
+    /// The set `key` maps to (`key % sets`).
+    #[inline]
+    fn set_of(&self, key: u64) -> usize {
+        match self.set_mask {
+            Some(mask) => key as usize & mask,
+            None => key as usize % self.len.len(),
+        }
+    }
+
+    /// Set `set`'s resident keys, MRU first.
+    #[inline]
+    fn set_keys(&self, set: usize) -> &[u64] {
+        let base = set * self.ways;
+        &self.keys[base..base + self.len[set]]
+    }
+
+    /// The set `key` maps to, and `key`'s position in it if resident.
+    #[inline]
+    fn find(&self, key: u64) -> (usize, Option<usize>) {
+        let set = self.set_of(key);
+        (set, self.set_keys(set).iter().position(|&k| k == key))
+    }
+
+    /// Moves the key at position `pos` of `set` to its MRU slot.
+    #[inline]
+    fn promote(&mut self, set: usize, pos: usize) {
+        let base = set * self.ways;
+        let key = self.keys[base + pos];
+        self.keys.copy_within(base..base + pos, base + 1);
+        self.keys[base] = key;
+    }
+
+    /// Inserts `key` (known absent) at `set`'s MRU slot, dropping the LRU
+    /// key if the set is full.
+    #[inline]
+    fn insert_front(&mut self, set: usize, key: u64) {
+        let base = set * self.ways;
+        let kept = self.len[set].min(self.ways - 1);
+        self.keys.copy_within(base..base + kept, base + 1);
+        self.keys[base] = key;
+        self.len[set] = kept + 1;
     }
 
     /// Accesses `key`: returns `true` on hit. On miss the key is inserted,
     /// evicting the set's LRU entry if needed.
     pub fn access(&mut self, key: u64) -> bool {
-        let set_idx = (key as usize) % self.sets.len();
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&k| k == key) {
-            // Move to MRU position.
-            let k = set.remove(pos);
-            set.insert(0, k);
-            self.stats.hits += 1;
-            return true;
+        match self.find(key) {
+            (set, Some(pos)) => {
+                self.promote(set, pos);
+                self.stats.hits += 1;
+                true
+            }
+            (set, None) => {
+                self.stats.misses += 1;
+                self.insert_front(set, key);
+                false
+            }
         }
-        self.stats.misses += 1;
-        if set.len() == self.ways {
-            set.pop();
-        }
-        set.insert(0, key);
-        false
     }
 
     /// Probes for `key`: updates recency and hit/miss statistics like
@@ -99,51 +151,47 @@ impl SetAssocCache {
     /// TLB semantics: entries enter only via [`SetAssocCache::fill`] after
     /// a successful walk.
     pub fn probe(&mut self, key: u64) -> bool {
-        let set_idx = (key as usize) % self.sets.len();
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&k| k == key) {
-            let k = set.remove(pos);
-            set.insert(0, k);
-            self.stats.hits += 1;
-            return true;
+        match self.find(key) {
+            (set, Some(pos)) => {
+                self.promote(set, pos);
+                self.stats.hits += 1;
+                true
+            }
+            (_, None) => {
+                self.stats.misses += 1;
+                false
+            }
         }
-        self.stats.misses += 1;
-        false
     }
 
     /// Checks for `key` without updating recency or statistics.
     pub fn contains(&self, key: u64) -> bool {
-        let set_idx = (key as usize) % self.sets.len();
-        self.sets[set_idx].contains(&key)
+        self.find(key).1.is_some()
     }
 
     /// Inserts `key` without counting an access (e.g. a fill on the return
     /// path of a walk).
     pub fn fill(&mut self, key: u64) {
-        let set_idx = (key as usize) % self.sets.len();
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&k| k == key) {
-            let k = set.remove(pos);
-            set.insert(0, k);
-            return;
+        match self.find(key) {
+            (set, Some(pos)) => self.promote(set, pos),
+            (set, None) => self.insert_front(set, key),
         }
-        if set.len() == self.ways {
-            set.pop();
-        }
-        set.insert(0, key);
     }
 
     /// Removes `key` if present (e.g. on an unmap/shootdown).
     pub fn invalidate(&mut self, key: u64) {
-        let set_idx = (key as usize) % self.sets.len();
-        self.sets[set_idx].retain(|&k| k != key);
+        if let (set, Some(pos)) = self.find(key) {
+            let base = set * self.ways;
+            let len = self.len[set];
+            self.keys
+                .copy_within(base + pos + 1..base + len, base + pos);
+            self.len[set] -= 1;
+        }
     }
 
     /// Empties the cache (e.g. on context switch).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.len.fill(0);
     }
 
     /// Hit/miss counters.
@@ -160,6 +208,124 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mehpt_types::proptest_lite::{check, Gen};
+
+    /// The original `Vec<Vec<u64>>` cache, kept as the oracle the flat
+    /// layout must match operation for operation.
+    struct Reference {
+        sets: Vec<Vec<u64>>,
+        ways: usize,
+        stats: CacheStats,
+    }
+
+    impl Reference {
+        fn new(sets: usize, ways: usize) -> Reference {
+            Reference {
+                sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
+                ways,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set(&mut self, key: u64) -> &mut Vec<u64> {
+            let n = self.sets.len();
+            &mut self.sets[(key as usize) % n]
+        }
+
+        fn touch(&mut self, key: u64, insert: bool) -> bool {
+            let ways = self.ways;
+            let set = self.set(key);
+            if let Some(pos) = set.iter().position(|&k| k == key) {
+                let k = set.remove(pos);
+                set.insert(0, k);
+                return true;
+            }
+            if insert {
+                if set.len() == ways {
+                    set.pop();
+                }
+                set.insert(0, key);
+            }
+            false
+        }
+
+        fn access(&mut self, key: u64) -> bool {
+            let hit = self.touch(key, true);
+            self.count(hit);
+            hit
+        }
+
+        fn probe(&mut self, key: u64) -> bool {
+            let hit = self.touch(key, false);
+            self.count(hit);
+            hit
+        }
+
+        fn count(&mut self, hit: bool) {
+            if hit {
+                self.stats.hits += 1;
+            } else {
+                self.stats.misses += 1;
+            }
+        }
+
+        fn contains(&self, key: u64) -> bool {
+            self.sets[(key as usize) % self.sets.len()].contains(&key)
+        }
+    }
+
+    #[test]
+    fn flat_layout_matches_the_reference_cache() {
+        // Power-of-two, non-power-of-two (3, and the L2 TLB's 85) and
+        // fully associative geometries.
+        const GEOMETRIES: [(usize, usize); 6] =
+            [(4, 2), (16, 4), (3, 2), (85, 12), (1, 16), (1, 1)];
+        check(
+            "flat_layout_matches_the_reference_cache",
+            96,
+            |g: &mut Gen| {
+                let (sets, ways) = GEOMETRIES[g.index(GEOMETRIES.len())];
+                let mut flat = SetAssocCache::new(sets, ways);
+                let mut oracle = Reference::new(sets, ways);
+                // A key space a few times the capacity, so sets fill, evict and
+                // hit; a few huge keys exercise the full-width modulo.
+                let span = (sets * ways * 3) as u64;
+                let key = |g: &mut Gen| {
+                    if g.below(16) == 0 {
+                        u64::MAX - g.below(span)
+                    } else {
+                        g.below(span)
+                    }
+                };
+                for _ in 0..g.len(600) {
+                    let k = key(g);
+                    match g.weighted(&[4, 4, 3, 1, 1]) {
+                        0 => assert_eq!(flat.access(k), oracle.access(k), "access {k}"),
+                        1 => assert_eq!(flat.probe(k), oracle.probe(k), "probe {k}"),
+                        2 => {
+                            flat.fill(k);
+                            oracle.touch(k, true);
+                        }
+                        3 => {
+                            flat.invalidate(k);
+                            oracle.set(k).retain(|&x| x != k);
+                        }
+                        _ => {
+                            if g.below(8) == 0 {
+                                flat.flush();
+                                oracle.sets.iter_mut().for_each(Vec::clear);
+                            }
+                        }
+                    }
+                    assert_eq!(flat.stats(), oracle.stats);
+                    assert_eq!(flat.contains(k), oracle.contains(k), "key {k}");
+                    for (set, keys) in oracle.sets.iter().enumerate() {
+                        assert_eq!(flat.set_keys(set), &keys[..], "recency order of set {set}");
+                    }
+                }
+            },
+        );
+    }
 
     #[test]
     fn cold_miss_then_hit() {

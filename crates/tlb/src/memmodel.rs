@@ -80,8 +80,8 @@ impl Default for MemoryModelConfig {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MemoryModel {
-    l2: SetAssocCache,
-    l3: SetAssocCache,
+    /// The L2 and L3 arrays; `None` in flat mode, which never reads them.
+    caches: Option<(SetAssocCache, SetAssocCache)>,
     cfg: MemoryModelConfig,
     accesses: u64,
     total_cycles: u64,
@@ -95,11 +95,16 @@ impl MemoryModel {
 
     /// Creates the model from an explicit configuration.
     pub fn new(cfg: MemoryModelConfig) -> MemoryModel {
-        let l2_sets = (cfg.l2_bytes / 64) as usize / cfg.l2_ways;
-        let l3_sets = (cfg.l3_bytes / 64) as usize / cfg.l3_ways;
+        let caches = (!cfg.flat).then(|| {
+            let l2_sets = (cfg.l2_bytes / 64) as usize / cfg.l2_ways;
+            let l3_sets = (cfg.l3_bytes / 64) as usize / cfg.l3_ways;
+            (
+                SetAssocCache::new(l2_sets.next_power_of_two(), cfg.l2_ways),
+                SetAssocCache::new(l3_sets.next_power_of_two(), cfg.l3_ways),
+            )
+        });
         MemoryModel {
-            l2: SetAssocCache::new(l2_sets.next_power_of_two(), cfg.l2_ways),
-            l3: SetAssocCache::new(l3_sets.next_power_of_two(), cfg.l3_ways),
+            caches,
             cfg,
             accesses: 0,
             total_cycles: 0,
@@ -109,16 +114,15 @@ impl MemoryModel {
     /// Performs one 64-byte-line access and returns its round-trip latency
     /// in cycles.
     pub fn access(&mut self, addr: PhysAddr) -> u64 {
-        if self.cfg.flat {
-            self.accesses += 1;
+        self.accesses += 1;
+        let Some((l2, l3)) = &mut self.caches else {
             self.total_cycles += self.cfg.mem_latency;
             return self.cfg.mem_latency;
-        }
+        };
         let line = addr.line();
-        self.accesses += 1;
-        let cycles = if self.l2.access(line) {
+        let cycles = if l2.access(line) {
             self.cfg.l2_latency
-        } else if self.l3.access(line) {
+        } else if l3.access(line) {
             self.cfg.l3_latency
         } else {
             self.cfg.mem_latency
@@ -138,8 +142,10 @@ impl MemoryModel {
 
     /// Invalidates a line (e.g. the OS rewrote a page-table entry).
     pub fn invalidate(&mut self, addr: PhysAddr) {
-        self.l2.invalidate(addr.line());
-        self.l3.invalidate(addr.line());
+        if let Some((l2, l3)) = &mut self.caches {
+            l2.invalidate(addr.line());
+            l3.invalidate(addr.line());
+        }
     }
 
     /// Total accesses served.
@@ -152,14 +158,20 @@ impl MemoryModel {
         self.total_cycles
     }
 
-    /// L2 hit/miss counters.
+    /// L2 hit/miss counters (zero in flat mode).
     pub fn l2_stats(&self) -> CacheStats {
-        self.l2.stats()
+        self.caches
+            .as_ref()
+            .map(|c| c.0.stats())
+            .unwrap_or_default()
     }
 
-    /// L3 hit/miss counters.
+    /// L3 hit/miss counters (zero in flat mode).
     pub fn l3_stats(&self) -> CacheStats {
-        self.l3.stats()
+        self.caches
+            .as_ref()
+            .map(|c| c.1.stats())
+            .unwrap_or_default()
     }
 }
 

@@ -9,6 +9,8 @@
 //!   modeled architecture (4KB, 2MB, 1GB).
 //! * [`rng`] — a small deterministic pseudo-random number generator so that
 //!   every simulation in the workspace is exactly reproducible from a seed.
+//! * [`pagehash`] — a fast deterministic hasher for maps and sets keyed by
+//!   page or frame numbers.
 //! * [`proptest_lite`] — a dependency-free property-testing harness (the
 //!   workspace builds offline, with no crates-io dependencies).
 //! * [`ByteSize`] — human-readable formatting of byte quantities, used by the
@@ -31,6 +33,7 @@
 
 mod addr;
 mod page;
+pub mod pagehash;
 pub mod proptest_lite;
 pub mod rng;
 mod size;

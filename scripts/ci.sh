@@ -19,6 +19,21 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --quiet
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> perfbench correctness smoke (stored digests, traced-copy fidelity; no timing gate)"
+for workload in translate populate; do
+    for trace in 0 1; do
+        if ! result=$(python3 perfbench/run.py --workload "$workload" --seconds 1 \
+            --trace "$trace" | tail -n 1); then
+            echo "perfbench --workload $workload --trace $trace exited non-zero" >&2
+            exit 1
+        fi
+        if ! grep -q '"correct": true' <<<"$result"; then
+            echo "perfbench --workload $workload --trace $trace is not correct: $result" >&2
+            exit 1
+        fi
+    done
+done
+
 echo "==> mehpt-lab table1 --jobs 2 --quick (smoke)"
 ./target/release/mehpt-lab table1 --jobs 2 --quick --out target/lab-ci >/dev/null
 
