@@ -125,3 +125,48 @@ fn construction_oom_propagates() {
     assert_eq!(hpt.pages(), 0);
     assert_eq!(hpt.l2p_entries_used(), 0, "no L2P entries may leak");
 }
+
+/// A failed pressure-valve upsize (the kick limit hit on exhausted
+/// memory) keeps every earlier mapping and maps nothing new.
+#[test]
+fn failed_kick_limit_upsize_loses_no_mapping() {
+    for max_kicks in [1, 2, 4] {
+        let cfg = MeHptConfig {
+            max_kicks,
+            ..MeHptConfig::default()
+        };
+        let mut mem = tiny_mem(2 * MIB);
+        let mut hpt = MeHpt::with_config(cfg, &mut mem).unwrap();
+        hpt.map(Vpn(0), PageSize::Base4K, Ppn(0), &mut mem).unwrap();
+        while mem.alloc(4 * KIB, AllocTag::Data).is_ok() {}
+        let mut inserted = vec![0];
+        let failed = (1..10_000u64).find(|&i| {
+            let ok = hpt
+                .map(Vpn(i * 8), PageSize::Base4K, Ppn(i), &mut mem)
+                .is_ok();
+            if ok {
+                inserted.push(i);
+            }
+            !ok
+        });
+        let failed = failed.expect("exhausted memory must fail an upsize");
+        let t = hpt.table(PageSize::Base4K).unwrap();
+        assert!(
+            (t.clusters() as f64) < 0.4 * t.capacity() as f64,
+            "max_kicks {max_kicks}: the kick limit, well below the upsize threshold, must fail"
+        );
+        for &i in &inserted {
+            assert_eq!(
+                hpt.translate(Vpn(i * 8).base_addr(PageSize::Base4K)),
+                Some((Ppn(i), PageSize::Base4K)),
+                "max_kicks {max_kicks}: translation {i} lost"
+            );
+        }
+        assert_eq!(
+            hpt.translate(Vpn(failed * 8).base_addr(PageSize::Base4K)),
+            None
+        );
+        assert_eq!(hpt.pages(), inserted.len() as u64);
+        hpt.check_invariants();
+    }
+}

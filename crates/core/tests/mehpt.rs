@@ -246,3 +246,19 @@ fn remap_then_unmap_clears_cwt_masks() {
         assert_eq!(hpt.pud_mask(va), None, "{ps:?}");
     }
 }
+
+#[test]
+fn custom_config_is_respected() {
+    let mut m = mem(GIB);
+    let cfg = MeHptConfig {
+        ways: 4,
+        initial_entries_per_way: 256,
+        ..MeHptConfig::default()
+    };
+    let mut hpt = MeHpt::with_config(cfg, &mut m).unwrap();
+    hpt.map(Vpn(1), PageSize::Base4K, Ppn(1), &mut m).unwrap();
+    let t = hpt.table(PageSize::Base4K).unwrap();
+    assert_eq!(t.way_sizes().len(), 4);
+    assert_eq!(t.capacity(), 1024);
+    assert_eq!(hpt.l2p().ways(), 4);
+}

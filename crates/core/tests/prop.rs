@@ -1,12 +1,15 @@
-//! Property tests: ME-HPT must agree with a `HashMap` model under random
-//! map/unmap/translate sequences, across ablation configurations, while the
-//! resize machinery (in-place rehash, chunk switches, per-way balancing)
-//! churns underneath.
+//! Property tests: ME-HPT and ECPT must agree with a `HashMap` model under
+//! random map/unmap/translate sequences, across ablation configurations,
+//! while the resize machinery (in-place rehash, chunk switches, per-way
+//! balancing) churns underneath. The engine's invariants are checked after
+//! every operation, the tables' bytes against the allocator's, and every
+//! page-table byte must come back on `destroy`.
 
 use std::collections::HashMap;
 
 use mehpt_core::{ChunkSizePolicy, MeHpt, MeHptConfig};
-use mehpt_mem::{AllocCostModel, PhysMem};
+use mehpt_ecpt::{Ecpt, Hpt};
+use mehpt_mem::{AllocCostModel, AllocTag, PhysMem};
 use mehpt_types::proptest_lite::{check, Gen};
 use mehpt_types::{PageSize, Ppn, Vpn, GIB, KIB};
 
@@ -27,7 +30,17 @@ fn gen_ops(g: &mut Gen, max_len: usize) -> Vec<Op> {
 
 fn run_model(cfg: MeHptConfig, ops: &[Op]) {
     let mut mem = PhysMem::with_cost_model(GIB, AllocCostModel::zero_cost());
-    let mut hpt = MeHpt::with_config(cfg, &mut mem).unwrap();
+    let hpt = MeHpt::with_config(cfg, &mut mem).unwrap();
+    run_model_on(hpt.into(), mem, ops);
+}
+
+/// The page-table bytes `mem` has handed out.
+fn pt_bytes(mem: &PhysMem) -> u64 {
+    mem.stats().tag(AllocTag::PageTable).current_bytes
+}
+
+fn run_model_on(mut hpt: Hpt, mut mem: PhysMem, ops: &[Op]) {
+    let start = pt_bytes(&mem);
     let mut model: HashMap<u32, u32> = HashMap::new();
     for op in ops {
         match *op {
@@ -48,6 +61,9 @@ fn run_model(cfg: MeHptConfig, ops: &[Op]) {
             }
         }
         assert_eq!(hpt.pages(), model.len() as u64);
+        hpt.check_invariants();
+        let tables = hpt.table(PageSize::Base4K).map_or(0, |t| t.memory_bytes());
+        assert_eq!(start + tables, pt_bytes(&mem), "table bytes vs allocator");
     }
     for (&k, &v) in &model {
         let got = hpt
@@ -55,6 +71,8 @@ fn run_model(cfg: MeHptConfig, ops: &[Op]) {
             .map(|(p, _)| p);
         assert_eq!(got, Some(Ppn(v as u64)), "final check for key {k}");
     }
+    hpt.destroy(&mut mem);
+    assert_eq!(pt_bytes(&mem), start, "destroy must return every byte");
 }
 
 #[test]
@@ -104,6 +122,16 @@ fn ablation_all_way_matches_hashmap() {
             },
             &ops,
         );
+    });
+}
+
+#[test]
+fn ecpt_matches_hashmap() {
+    check("ecpt_matches_hashmap", 24, |g| {
+        let ops = gen_ops(g, 1200);
+        let mut mem = PhysMem::with_cost_model(GIB, AllocCostModel::zero_cost());
+        let ecpt = Ecpt::new(&mut mem).unwrap();
+        run_model_on(ecpt.into(), mem, &ops);
     });
 }
 

@@ -6,45 +6,23 @@
 use std::cell::Cell;
 
 use mehpt_core::{MeHpt, MeHptConfig};
-use mehpt_ecpt::{Ecpt, EcptWalker, HptView};
+use mehpt_ecpt::{Ecpt, EcptWalker, Hpt, HptView};
 use mehpt_mem::{AllocCostModel, PhysMem};
 use mehpt_tlb::MemoryModel;
 use mehpt_types::proptest_lite::{check, Gen};
 use mehpt_types::{PageSize, PhysAddr, Ppn, VirtAddr, Vpn, GIB, PAGE_SIZES};
 
-/// What the test drives on either design.
-trait Design: HptView {
-    fn map(&mut self, vpn: Vpn, ps: PageSize, ppn: Ppn, mem: &mut PhysMem);
-    fn unmap(&mut self, vpn: Vpn, ps: PageSize, mem: &mut PhysMem);
-    fn resizing(&self) -> bool;
+/// Maps `vpn`; the tests' 1GB of memory always suffices.
+fn map(table: &mut Hpt, vpn: Vpn, ps: PageSize, ppn: Ppn, mem: &mut PhysMem) {
+    table
+        .map(vpn, ps, ppn, mem)
+        .expect("1GB of memory suffices");
 }
 
-impl Design for Ecpt {
-    fn map(&mut self, vpn: Vpn, ps: PageSize, ppn: Ppn, mem: &mut PhysMem) {
-        Ecpt::map(self, vpn, ps, ppn, mem).expect("1GB of memory suffices");
-    }
-    fn unmap(&mut self, vpn: Vpn, ps: PageSize, mem: &mut PhysMem) {
-        Ecpt::unmap(self, vpn, ps, mem);
-    }
-    fn resizing(&self) -> bool {
-        PAGE_SIZES
-            .iter()
-            .any(|&ps| self.table(ps).is_some_and(|t| t.is_resizing()))
-    }
-}
-
-impl Design for MeHpt {
-    fn map(&mut self, vpn: Vpn, ps: PageSize, ppn: Ppn, mem: &mut PhysMem) {
-        MeHpt::map(self, vpn, ps, ppn, mem).expect("1GB of memory suffices");
-    }
-    fn unmap(&mut self, vpn: Vpn, ps: PageSize, mem: &mut PhysMem) {
-        MeHpt::unmap(self, vpn, ps, mem);
-    }
-    fn resizing(&self) -> bool {
-        PAGE_SIZES
-            .iter()
-            .any(|&ps| self.table(ps).is_some_and(|t| t.is_resizing()))
-    }
+fn resizing(table: &Hpt) -> bool {
+    PAGE_SIZES
+        .iter()
+        .any(|&ps| table.table(ps).is_some_and(|t| t.is_resizing()))
 }
 
 /// The group a walk must issue: `cwt` (the missed CWT entries), then the
@@ -111,30 +89,30 @@ fn check_walks<T: HptView>(table: &T, va: VirtAddr) {
 /// Random maps, remaps and unmaps of 4KB, 2MB and 1GB pages in a 4GB
 /// window, walking mapped and unmapped addresses every few operations.
 /// Returns how many checkpoints fell inside a resize.
-fn run_case<T: Design>(g: &mut Gen, mut table: T, mem: &mut PhysMem) -> u64 {
+fn run_case(g: &mut Gen, mut table: Hpt, mem: &mut PhysMem) -> u64 {
     let mut mapped: Vec<(Vpn, PageSize)> = Vec::new();
     let mut mid_resize = 0;
     for op in 0..g.len(2400).max(800) {
         match g.weighted(&[40, 2, 1, 4, 4]) {
             0 => {
                 let vpn = Vpn(g.below(1 << 20));
-                table.map(vpn, PageSize::Base4K, Ppn(op as u64), mem);
+                map(&mut table, vpn, PageSize::Base4K, Ppn(op as u64), mem);
                 mapped.push((vpn, PageSize::Base4K));
             }
             1 => {
                 let vpn = Vpn(g.below(1 << 11));
-                table.map(vpn, PageSize::Huge2M, Ppn(op as u64), mem);
+                map(&mut table, vpn, PageSize::Huge2M, Ppn(op as u64), mem);
                 mapped.push((vpn, PageSize::Huge2M));
             }
             2 => {
                 let vpn = Vpn(g.below(4));
-                table.map(vpn, PageSize::Giant1G, Ppn(op as u64), mem);
+                map(&mut table, vpn, PageSize::Giant1G, Ppn(op as u64), mem);
                 mapped.push((vpn, PageSize::Giant1G));
             }
             3 if !mapped.is_empty() => {
                 // Remap: a new PPN for a live mapping.
                 let (vpn, ps) = mapped[g.index(mapped.len())];
-                table.map(vpn, ps, Ppn(op as u64 + (1 << 30)), mem);
+                map(&mut table, vpn, ps, Ppn(op as u64 + (1 << 30)), mem);
             }
             _ if !mapped.is_empty() => {
                 let (vpn, ps) = mapped.swap_remove(g.index(mapped.len()));
@@ -143,7 +121,8 @@ fn run_case<T: Design>(g: &mut Gen, mut table: T, mem: &mut PhysMem) -> u64 {
             _ => {}
         }
         if op % 64 == 0 && !mapped.is_empty() {
-            mid_resize += u64::from(table.resizing());
+            mid_resize += u64::from(resizing(&table));
+            table.check_invariants();
             for _ in 0..4 {
                 let (vpn, ps) = mapped[g.index(mapped.len())];
                 let offset = g.below(ps.bytes());
@@ -165,7 +144,7 @@ fn ecpt_walks_match_translate_and_probe_addrs() {
     check("ecpt_walk_fidelity", 6, |g: &mut Gen| {
         let mut m = mem();
         let table = Ecpt::new(&mut m).unwrap();
-        mid_resize.set(mid_resize.get() + run_case(g, table, &mut m));
+        mid_resize.set(mid_resize.get() + run_case(g, table.into(), &mut m));
     });
     assert!(
         mid_resize.get() > 0,
@@ -184,7 +163,7 @@ fn mehpt_walks_match_translate_and_probe_addrs() {
                 ..MeHptConfig::default()
             };
             let table = MeHpt::with_config(cfg, &mut m).unwrap();
-            mid_resize.set(mid_resize.get() + run_case(g, table, &mut m));
+            mid_resize.set(mid_resize.get() + run_case(g, table.into(), &mut m));
         });
         assert!(
             mid_resize.get() > 0,

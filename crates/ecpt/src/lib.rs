@@ -1,20 +1,27 @@
-//! Elastic Cuckoo Page Tables (ECPT) — the state-of-the-art HPT baseline.
+//! Elastic Cuckoo Page Tables (ECPT) and the one elastic-cuckoo page-table
+//! engine that the ECPT baseline and ME-HPT share.
 //!
 //! This crate reproduces the design of Skarlatos et al. (ASPLOS'20), which
-//! the paper uses as its baseline (Section II-B, Table III):
+//! the paper uses as its baseline (Section II-B, Table III), and holds the
+//! machinery ME-HPT (`mehpt_core`) builds on:
 //!
-//! * one [`EcptTable`] per page size (4KB / 2MB / 1GB), each a 3-way cuckoo
-//!   hash table of **clustered entries** — one 64-byte entry holds the
-//!   translations of 8 contiguous pages (Yaniv & Tsafrir's page-table-entry
-//!   clustering), keyed by `VPN >> 3`;
-//! * each way stored in **one contiguous physical-memory chunk** — the
-//!   memory-contiguity problem ME-HPT solves: a way can grow to 64MB, and on
-//!   a fragmented machine that allocation is slow or impossible;
-//! * **gradual out-of-place resizing** with per-way rehash pointers: upsizes
-//!   above 0.6 occupancy, downsizes below 0.2, entries migrated as inserts
-//!   arrive; old and new tables coexist during the migration;
-//! * **Cuckoo Walk Tables** ([`Ecpt`] keeps per-region page-size masks) and
-//!   **Cuckoo Walk Caches** (in [`EcptWalker`]) that tell the hardware
+//! * [`HptTable`] — the elastic cuckoo table for one page size, a W-way
+//!   cuckoo hash table of **clustered entries** (one 64-byte entry holds
+//!   the translations of 8 contiguous pages, Yaniv & Tsafrir's
+//!   page-table-entry clustering, keyed by `VPN >> 3`) with **gradual
+//!   resizing** through per-way rehash pointers: upsizes above 0.6
+//!   occupancy, downsizes below 0.2, entries migrated as inserts arrive.
+//!   [`MeHptConfig`]'s `in_place` and `per_way` switches choose in-place or
+//!   out-of-place, per-way or all-way resizing;
+//! * [`WayMemory`] — where a way's chunks come from. ECPT keeps each way in
+//!   **one contiguous physical-memory chunk** — the memory-contiguity
+//!   problem ME-HPT solves: a way can grow to 64MB, and on a fragmented
+//!   machine that allocation is slow or impossible. ME-HPT registers
+//!   chunks from its size ladder ([`ChunkSizePolicy`]) in its L2P table;
+//! * [`Hpt`] — a process's table per page size plus the **Cuckoo Walk
+//!   Tables** (per-region page-size masks); [`Ecpt`] is the contiguous,
+//!   out-of-place, all-way instantiation;
+//! * **Cuckoo Walk Caches** (in [`EcptWalker`]) that tell the hardware
 //!   walker which page size's table to probe, keeping a walk at one
 //!   (parallel) memory access in the common case.
 //!
@@ -36,16 +43,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod config;
 mod cwt;
+mod engine;
 mod entry;
 mod process;
-mod table;
 mod view;
 mod walker;
 
+pub use config::{ChunkSizePolicy, MeHptConfig};
 pub use cwt::CwtSet;
+pub use engine::{HptStats, HptTable, InsertReport, WayMemory};
 pub use entry::{ClusterEntry, CLUSTER_PTES};
-pub use process::Ecpt;
-pub use table::{EcptConfig, EcptTable, InsertReport};
+pub use process::{Ecpt, Hpt, SeedFn};
 pub use view::HptView;
 pub use walker::{EcptWalker, EcptWalkerConfig, HptWalkResult};

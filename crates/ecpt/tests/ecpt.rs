@@ -1,30 +1,37 @@
 //! Integration tests of the ECPT baseline: table mechanics, contiguity
 //! behaviour, walker timing and the fragmentation failure mode.
 
-use mehpt_ecpt::{ClusterEntry, Ecpt, EcptConfig, EcptTable, EcptWalker};
+use mehpt_ecpt::{ClusterEntry, Ecpt, EcptWalker, HptTable, HptView};
 use mehpt_mem::{AllocCostModel, AllocError, AllocTag, Fragmenter, PhysMem};
 use mehpt_tlb::MemoryModel;
 use mehpt_types::rng::Xoshiro256;
-use mehpt_types::{PageSize, Ppn, VirtAddr, Vpn, GIB, MIB};
+use mehpt_types::{PageSize, Ppn, VirtAddr, Vpn, GIB, KIB, MIB};
+
+const PS: PageSize = PageSize::Base4K;
 
 fn mem(bytes: u64) -> PhysMem {
     PhysMem::with_cost_model(bytes, AllocCostModel::zero_cost())
 }
 
+/// The 4KB table of `ecpt`.
+fn t4k(ecpt: &Ecpt) -> &HptTable {
+    ecpt.table(PS).expect("a 4KB page was mapped")
+}
+
 #[test]
 fn table_insert_lookup_remove_roundtrip() {
     let mut m = mem(GIB);
-    let mut t = EcptTable::new(&mut m).unwrap();
+    let mut t = Ecpt::new(&mut m).unwrap();
     for i in 0..20_000u64 {
-        t.insert(Vpn(i * 3), Ppn(i), &mut m).unwrap();
+        t.map(Vpn(i * 3), PS, Ppn(i), &mut m).unwrap();
     }
     assert_eq!(t.pages(), 20_000);
     for i in 0..20_000u64 {
-        assert_eq!(t.lookup(Vpn(i * 3)), Some(Ppn(i)), "lookup {i}");
+        assert_eq!(t4k(&t).lookup(Vpn(i * 3)), Some(Ppn(i)), "lookup {i}");
     }
-    assert_eq!(t.lookup(Vpn(1)), None);
+    assert_eq!(t4k(&t).lookup(Vpn(1)), None);
     for i in 0..20_000u64 {
-        assert_eq!(t.remove(Vpn(i * 3), &mut m), Some(Ppn(i)));
+        assert_eq!(t.unmap(Vpn(i * 3), PS, &mut m), Some(Ppn(i)));
     }
     assert_eq!(t.pages(), 0);
 }
@@ -32,31 +39,32 @@ fn table_insert_lookup_remove_roundtrip() {
 #[test]
 fn clustering_keeps_contiguous_pages_together() {
     let mut m = mem(GIB);
-    let mut t = EcptTable::new(&mut m).unwrap();
+    let mut t = Ecpt::new(&mut m).unwrap();
     // 8 contiguous VPNs consume exactly one cluster entry.
     for i in 0..8u64 {
-        t.insert(Vpn(0x100 + i), Ppn(i), &mut m).unwrap();
+        t.map(Vpn(0x100 + i), PS, Ppn(i), &mut m).unwrap();
     }
-    assert_eq!(t.clusters(), 1);
+    assert_eq!(t4k(&t).clusters(), 1);
     assert_eq!(t.pages(), 8);
     // The walker probes the same addresses for all eight.
-    let base_probes = t.probe_addrs(Vpn(0x100));
+    let base_probes = t.probe_addrs(PS, Vpn(0x100));
     for i in 1..8u64 {
-        assert_eq!(t.probe_addrs(Vpn(0x100 + i)), base_probes);
+        assert_eq!(t.probe_addrs(PS, Vpn(0x100 + i)), base_probes);
     }
 }
 
 #[test]
 fn ways_grow_as_contiguous_chunks() {
     let mut m = mem(GIB);
-    let mut t = EcptTable::new(&mut m).unwrap();
+    let mut t = Ecpt::new(&mut m).unwrap();
     // Initial ways are 128 entries = 8KB.
-    assert_eq!(t.way_sizes(), vec![8192, 8192, 8192]);
+    t.map(Vpn(0), PS, Ppn(0), &mut m).unwrap();
+    assert_eq!(t4k(&t).way_sizes(), vec![8192, 8192, 8192]);
     // Scatter enough clusters to force several upsizes.
-    for i in 0..30_000u64 {
-        t.insert(Vpn(i * 8), Ppn(i), &mut m).unwrap();
+    for i in 1..30_000u64 {
+        t.map(Vpn(i * 8), PS, Ppn(i), &mut m).unwrap();
     }
-    let max_way = t.way_sizes().into_iter().max().unwrap();
+    let max_way = t.max_way_bytes();
     assert!(max_way >= MIB, "ways should have grown past 1MB: {max_way}");
     // The ECPT contiguity requirement: the allocator had to produce a
     // single chunk as large as a full way.
@@ -64,8 +72,9 @@ fn ways_grow_as_contiguous_chunks() {
         m.stats().tag(AllocTag::PageTable).max_contiguous_bytes,
         max_way
     );
+    assert_eq!(t4k(&t).way_phys_bytes(), t4k(&t).way_sizes());
     // All ways resize together (all-way sizing).
-    let sizes = t.way_sizes();
+    let sizes = t4k(&t).way_sizes();
     assert!(sizes.iter().all(|&s| s == sizes[0]), "{sizes:?}");
 }
 
@@ -77,10 +86,10 @@ fn resize_fails_on_fragmented_memory() {
     let mut m = mem(64 * MIB);
     let mut rng = Xoshiro256::seed_from_u64(3);
     Fragmenter::fragment(&mut m, 0.9, &mut rng);
-    let mut t = EcptTable::new(&mut m).unwrap();
+    let mut t = Ecpt::new(&mut m).unwrap();
     let mut failed = None;
     for i in 0..200_000u64 {
-        if let Err(e) = t.insert(Vpn(i * 8), Ppn(i), &mut m) {
+        if let Err(e) = t.map(Vpn(i * 8), PS, Ppn(i), &mut m) {
             failed = Some(e);
             break;
         }
@@ -92,17 +101,18 @@ fn resize_fails_on_fragmented_memory() {
 #[test]
 fn gradual_resize_keeps_lookups_correct() {
     let mut m = mem(GIB);
-    let mut t = EcptTable::new(&mut m).unwrap();
+    let mut t = Ecpt::new(&mut m).unwrap();
     for i in 0..50_000u64 {
-        t.insert(Vpn(i), Ppn(i + 7), &mut m).unwrap();
+        t.map(Vpn(i), PS, Ppn(i + 7), &mut m).unwrap();
         if i % 13 == 0 {
             let probe = i / 2;
-            assert_eq!(t.lookup(Vpn(probe)), Some(Ppn(probe + 7)), "at i={i}");
+            assert_eq!(t4k(&t).lookup(Vpn(probe)), Some(Ppn(probe + 7)), "at i={i}");
         }
     }
-    assert!(!t.resizes().is_empty());
+    let resizes = &t4k(&t).stats().resizes;
+    assert!(!resizes.is_empty());
     // Out-of-place migration moves every entry it touches.
-    for e in t.resizes() {
+    for e in resizes {
         assert_eq!(e.kept, 0);
     }
 }
@@ -110,18 +120,57 @@ fn gradual_resize_keeps_lookups_correct() {
 #[test]
 fn peak_memory_includes_old_and_new() {
     let mut m = mem(GIB);
-    let mut t = EcptTable::new(&mut m).unwrap();
+    let mut t = Ecpt::new(&mut m).unwrap();
     for i in 0..50_000u64 {
-        t.insert(Vpn(i * 8), Ppn(i), &mut m).unwrap();
+        t.map(Vpn(i * 8), PS, Ppn(i), &mut m).unwrap();
     }
     // During each resize old+new coexist: peak ≥ 1.5 × the largest steady
     // state the table reached at that point.
-    let steady: u64 = t.way_sizes().iter().sum();
+    let steady: u64 = t4k(&t).way_sizes().iter().sum();
+    let peak = t4k(&t).stats().peak_bytes;
     assert!(
-        t.peak_bytes() >= steady + steady / 4,
-        "peak {} vs steady {steady}",
-        t.peak_bytes()
+        peak >= steady + steady / 4,
+        "peak {peak} vs steady {steady}"
     );
+}
+
+/// An optional downsize that cannot allocate is deferred: the insert that
+/// triggered it still maps its page.
+#[test]
+fn failed_downsize_does_not_fail_the_insert() {
+    let mut m = mem(4 * MIB);
+    let mut t = Ecpt::new(&mut m).unwrap();
+    for i in 0..2_000u64 {
+        t.map(Vpn(i * 8), PS, Ppn(i), &mut m).unwrap();
+    }
+    for i in 0..1_900u64 {
+        t.unmap(Vpn(i * 8), PS, &mut m);
+    }
+    // Churn one cluster until a downsize has completed and the next one
+    // is due: the table is idle, larger than initial and under 0.2 full.
+    let due = |t: &Ecpt| {
+        let t = t4k(t);
+        !t.is_resizing()
+            && t.capacity() > 3 * 128
+            && (t.clusters() as f64) < 0.2 * t.capacity() as f64
+    };
+    let churn = Vpn(1 << 30);
+    while !due(&t) {
+        t.map(churn, PS, Ppn(1), &mut m).unwrap();
+        if !due(&t) {
+            t.unmap(churn, PS, &mut m);
+        }
+    }
+    let mut ballast = Vec::new();
+    while let Ok(c) = m.alloc(4 * KIB, AllocTag::Data) {
+        ballast.push(c);
+    }
+    let vpn = Vpn(2 << 30);
+    t.map(vpn, PS, Ppn(7), &mut m)
+        .expect("a failed optional downsize must not fail the insert");
+    assert_eq!(t4k(&t).lookup(vpn), Some(Ppn(7)));
+    assert!(!t4k(&t).is_resizing(), "the downsize is deferred");
+    t.check_invariants();
 }
 
 #[test]
@@ -254,11 +303,11 @@ fn walker_probes_only_present_page_sizes() {
 #[test]
 fn kick_distribution_mostly_zero() {
     let mut m = mem(GIB);
-    let mut t = EcptTable::new(&mut m).unwrap();
+    let mut t = Ecpt::new(&mut m).unwrap();
     for i in 0..100_000u64 {
-        t.insert(Vpn(i * 8), Ppn(i), &mut m).unwrap();
+        t.map(Vpn(i * 8), PS, Ppn(i), &mut m).unwrap();
     }
-    let hist = t.kicks_histogram();
+    let hist = t4k(&t).kicks_histogram();
     let total: u64 = hist.iter().sum();
     assert!(hist[0] as f64 / total as f64 > 0.5, "{hist:?}");
 }
@@ -266,11 +315,11 @@ fn kick_distribution_mostly_zero() {
 #[test]
 fn insert_is_idempotent_update() {
     let mut m = mem(GIB);
-    let mut t = EcptTable::new(&mut m).unwrap();
-    t.insert(Vpn(5), Ppn(1), &mut m).unwrap();
-    t.insert(Vpn(5), Ppn(2), &mut m).unwrap();
+    let mut t = Ecpt::new(&mut m).unwrap();
+    t.map(Vpn(5), PS, Ppn(1), &mut m).unwrap();
+    t.map(Vpn(5), PS, Ppn(2), &mut m).unwrap();
     assert_eq!(t.pages(), 1);
-    assert_eq!(t.lookup(Vpn(5)), Some(Ppn(2)));
+    assert_eq!(t4k(&t).lookup(Vpn(5)), Some(Ppn(2)));
 }
 
 #[test]
@@ -290,17 +339,4 @@ fn cluster_entry_is_cache_line_sized_in_the_model() {
     assert_eq!(ClusterEntry::BYTES, 64);
     // 128 entries × 64B = the paper's 8KB initial way.
     assert_eq!(128 * ClusterEntry::BYTES, 8192);
-}
-
-#[test]
-fn custom_config_is_respected() {
-    let mut m = mem(GIB);
-    let cfg = EcptConfig {
-        ways: 4,
-        initial_entries_per_way: 256,
-        ..EcptConfig::default()
-    };
-    let t = EcptTable::with_config(cfg, &mut m).unwrap();
-    assert_eq!(t.way_sizes().len(), 4);
-    assert_eq!(t.capacity(), 1024);
 }
