@@ -18,10 +18,13 @@
 //!   (Zuo et al., OSDI'18), the only other hashing scheme with a form of
 //!   in-place resizing, used by the Section IX comparison benchmark.
 //!
-//! The page-table crates (`mehpt-ecpt`, `mehpt-core`) implement the same
-//! algorithms specialized for translation entries, physical-memory chunks
-//! and hardware walkers; this crate is the application-agnostic form with
-//! exhaustive unit and property tests of the algorithmic invariants.
+//! The page tables do not build on [`ElasticCuckooTable`]: they share one
+//! elastic-cuckoo page-table engine, `mehpt_ecpt::HptTable`, which stores
+//! clustered translation entries in physical-memory chunks for the
+//! hardware walkers and takes its hash functions from [`HashFamily`] and
+//! its resize events from [`ResizeEvent`]. This crate is the
+//! application-agnostic form of the algorithms, with no physical memory,
+//! and exhaustive unit and property tests of their invariants.
 //!
 //! # Examples
 //!

@@ -16,8 +16,8 @@ echo "==> cargo doc --no-deps (deny warnings)"
 # on target/doc/mehpt_lab; library docs are the ones that matter.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --quiet
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --release --workspace"
+cargo test -q --release --workspace
 
 echo "==> perfbench correctness smoke (stored digests, traced-copy fidelity; no timing gate)"
 for workload in translate populate; do
