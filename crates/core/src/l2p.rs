@@ -1,4 +1,5 @@
-use mehpt_ecpt::{ChunkSizePolicy, WayMemory};
+use mehpt_ecpt::{ChunkSizePolicy, ClusterEntry, WayMemory};
+use mehpt_hash::chunks_for;
 use mehpt_mem::Chunk;
 use mehpt_types::PageSize;
 
@@ -208,7 +209,7 @@ impl WayMemory for L2pChunks {
         // count fits the subtable next to the old table's chunks.
         let mut chunk_bytes = current;
         while self.l2p.capacity_remaining(way, ps)
-            < ChunkSizePolicy::chunks_for(entries, chunk_bytes)
+            < chunks_for::<ClusterEntry>(entries, chunk_bytes)
         {
             chunk_bytes = self.policy.next(chunk_bytes)?;
         }
@@ -219,7 +220,7 @@ impl WayMemory for L2pChunks {
         // The next size up whose chunk count fits an emptied subtable.
         let cap = 2 * self.l2p.e;
         let mut chunk_bytes = self.policy.next(current).unwrap_or(current);
-        while ChunkSizePolicy::chunks_for(entries, chunk_bytes) > cap {
+        while chunks_for::<ClusterEntry>(entries, chunk_bytes) > cap {
             chunk_bytes = self
                 .policy
                 .next(chunk_bytes)

@@ -1,11 +1,12 @@
 //! ME-HPT: Memory-Efficient Hashed Page Tables — the paper's contribution.
 //!
-//! ME-HPT is the elastic-cuckoo page-table engine of `mehpt-ecpt` (the
-//! same `HptTable` code as the ECPT baseline) with the four techniques of
+//! ME-HPT is the elastic-cuckoo page table of `mehpt-ecpt` (the same
+//! `HptTable` code as the ECPT baseline, an instantiation of
+//! `mehpt_hash::CuckooEngine`) with the four techniques of
 //! *Memory-Efficient Hashed Page Tables* (HPCA 2023) turned on. This crate
 //! holds what ECPT lacks — the L2P table its ways' chunks are registered
-//! in — and the [`MeHpt`] constructors; the chunk ladder, the switches and
-//! the resize algorithms live in the engine:
+//! in — and the [`MeHpt`] constructors; the chunk ladder and the switches
+//! live in `mehpt-ecpt`, the resize algorithms in the engine:
 //!
 //! 1. **Logical-to-Physical (L2P) table** ([`L2pTable`]) — a small
 //!    MMU-resident indirection table (32 entries × 3 ways × 3 page sizes,

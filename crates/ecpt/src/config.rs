@@ -130,12 +130,6 @@ impl ChunkSizePolicy {
     pub fn entries_per_chunk(bytes: u64) -> usize {
         (bytes / ClusterEntry::BYTES) as usize
     }
-
-    /// Chunks of `bytes` needed to back a way of `entries` entries (at
-    /// least one).
-    pub fn chunks_for(entries: usize, bytes: u64) -> usize {
-        entries.div_ceil(Self::entries_per_chunk(bytes)).max(1)
-    }
 }
 
 #[cfg(test)]

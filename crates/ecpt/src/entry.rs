@@ -1,3 +1,4 @@
+use mehpt_hash::Entry;
 use mehpt_types::{Ppn, Vpn};
 
 /// Translations per clustered entry (one 64-byte cache line).
@@ -112,6 +113,16 @@ impl ClusterEntry {
     /// Whether no translation is valid.
     pub fn is_empty(&self) -> bool {
         self.valid_count() == 0
+    }
+}
+
+impl Entry for ClusterEntry {
+    type Key = u64;
+
+    const SLOT_BYTES: u64 = ClusterEntry::BYTES;
+
+    fn key(&self) -> &u64 {
+        &self.tag
     }
 }
 

@@ -5,14 +5,14 @@
 //! the paper uses as its baseline (Section II-B, Table III), and holds the
 //! machinery ME-HPT (`mehpt_core`) builds on:
 //!
-//! * [`HptTable`] — the elastic cuckoo table for one page size, a W-way
-//!   cuckoo hash table of **clustered entries** (one 64-byte entry holds
-//!   the translations of 8 contiguous pages, Yaniv & Tsafrir's
-//!   page-table-entry clustering, keyed by `VPN >> 3`) with **gradual
-//!   resizing** through per-way rehash pointers: upsizes above 0.6
-//!   occupancy, downsizes below 0.2, entries migrated as inserts arrive.
-//!   [`MeHptConfig`]'s `in_place` and `per_way` switches choose in-place or
-//!   out-of-place, per-way or all-way resizing;
+//! * [`HptTable`] — the elastic cuckoo table for one page size: the
+//!   `mehpt_hash::CuckooEngine` storing **clustered entries** (one 64-byte
+//!   entry holds the translations of 8 contiguous pages, Yaniv & Tsafrir's
+//!   page-table-entry clustering, keyed by `VPN >> 3`) in physical-memory
+//!   chunks, with **gradual resizing** through per-way rehash pointers:
+//!   upsizes above 0.6 occupancy, downsizes below 0.2, entries migrated as
+//!   inserts arrive. [`MeHptConfig`]'s `in_place` and `per_way` switches
+//!   choose in-place or out-of-place, per-way or all-way resizing;
 //! * [`WayMemory`] — where a way's chunks come from. ECPT keeps each way in
 //!   **one contiguous physical-memory chunk** — the memory-contiguity
 //!   problem ME-HPT solves: a way can grow to 64MB, and on a fragmented
@@ -53,8 +53,9 @@ mod walker;
 
 pub use config::{ChunkSizePolicy, MeHptConfig};
 pub use cwt::CwtSet;
-pub use engine::{HptStats, HptTable, InsertReport, WayMemory};
+pub use engine::{HptTable, WayMemory};
 pub use entry::{ClusterEntry, CLUSTER_PTES};
+pub use mehpt_hash::{InsertReport, TableStats};
 pub use process::{Ecpt, Hpt, SeedFn};
 pub use view::HptView;
 pub use walker::{EcptWalker, EcptWalkerConfig, HptWalkResult};

@@ -1,11 +1,12 @@
 use std::ops::{Deref, DerefMut};
 
+use mehpt_hash::InsertReport;
 use mehpt_mem::{AllocError, PhysMem};
 use mehpt_types::{PageSize, PhysAddr, Ppn, VirtAddr, Vpn, PAGE_SIZES};
 
 use crate::config::MeHptConfig;
 use crate::cwt::CwtSet;
-use crate::engine::{Contiguous, HptTable, InsertReport, WayMemory};
+use crate::engine::{Contiguous, HptTable, WayMemory};
 use crate::view::HptView;
 
 /// Bitmask bit for a page size (bit 0 = 4KB, bit 1 = 2MB, bit 2 = 1GB).

@@ -37,11 +37,25 @@ fn config(mode: ResizeMode, sizing: WaySizing) -> Config {
     }
 }
 
+/// Runs `ops` against a `HashMap` model under `cfg`, and again with a kick
+/// limit of 1 so that the kick-limit upsize runs on most kicking inserts.
+/// The engine's structural invariants are checked after every operation,
+/// so they hold through every resize state.
 fn check_against_model(cfg: Config, ops: Vec<Op>) {
+    let valve = Config {
+        max_kicks: 1,
+        ..cfg.clone()
+    };
+    for cfg in [cfg, valve] {
+        run_model(cfg, &ops);
+    }
+}
+
+fn run_model(cfg: Config, ops: &[Op]) {
     let mut table = ElasticCuckooTable::new(cfg);
     let mut model: HashMap<u16, u32> = HashMap::new();
     for op in ops {
-        match op {
+        match *op {
             Op::Insert(k, v) => {
                 assert_eq!(table.insert(k, v), model.insert(k, v));
             }
@@ -53,8 +67,8 @@ fn check_against_model(cfg: Config, ops: Vec<Op>) {
             }
         }
         assert_eq!(table.len(), model.len());
+        table.check_invariants();
     }
-    table.check_invariants();
     // Every model entry must be findable, and iteration must match exactly.
     for (k, v) in &model {
         assert_eq!(table.get(k), Some(v));

@@ -18,9 +18,6 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use mehpt_sim::SimReport;
-use mehpt_workloads::App;
-
 use crate::diff::{diff_texts, DiffOptions};
 use crate::engine::{self, Progress, RunOptions, WORKER_THREAD_PREFIX};
 use crate::fault::FaultPlan;
@@ -74,7 +71,6 @@ OPTIONS:
                        kind:selector rules, kind in {panic,hang,poison},
                        selector an id substring or @N (1-in-N identity
                        hash); also read from MEHPT_FAULT when unset
-    --inject-panic APP panic inside APP's cells (tests panic isolation)
     -h, --help         this text
 
 DIFF OPTIONS:
@@ -125,8 +121,6 @@ pub struct LabArgs {
     pub out: PathBuf,
     /// Fault-injection plan (`--fault` / `MEHPT_FAULT`).
     pub fault: Option<FaultPlan>,
-    /// App whose cells should panic (panic-isolation demo/testing).
-    pub inject_panic: Option<App>,
 }
 
 impl Default for LabArgs {
@@ -143,7 +137,6 @@ impl Default for LabArgs {
             frag: None,
             out: PathBuf::from("target/lab"),
             fault: None,
-            inject_panic: None,
         }
     }
 }
@@ -299,15 +292,6 @@ pub fn parse_args(args: &[String]) -> Result<LabArgs, String> {
                 out.tuning.timeout_secs = Some(secs);
             }
             "--fault" => out.fault = Some(FaultPlan::parse(value("--fault")?)?),
-            "--inject-panic" => {
-                let name = value("--inject-panic")?;
-                out.inject_panic = Some(
-                    App::all()
-                        .into_iter()
-                        .find(|a| a.name().eq_ignore_ascii_case(name))
-                        .ok_or_else(|| format!("unknown app: {name}"))?,
-                );
-            }
             name => match Preset::parse(name) {
                 Some(p) => {
                     if !out.presets.contains(&p) {
@@ -532,31 +516,15 @@ pub fn run(args: &LabArgs) -> i32 {
             }
         }
     };
-    let results = match args.inject_panic {
-        None => engine::run_cells_persisted(
-            &union,
-            &opts,
-            fault,
-            engine::simulate_cell,
-            &progress,
-            &preloaded,
-            &mut on_fresh,
-        ),
-        Some(app) => engine::run_cells_persisted(
-            &union,
-            &opts,
-            fault,
-            move |spec: &CellSpec| -> SimReport {
-                if spec.app == app {
-                    panic!("injected panic in cell {}", spec.id());
-                }
-                engine::simulate_cell(spec)
-            },
-            &progress,
-            &preloaded,
-            &mut on_fresh,
-        ),
-    };
+    let results = engine::run_cells_persisted(
+        &union,
+        &opts,
+        fault,
+        engine::simulate_cell,
+        &progress,
+        &preloaded,
+        &mut on_fresh,
+    );
     if let Some(w) = writer.as_mut() {
         if let Err(e) = w.sync() {
             eprintln!("mehpt-lab: journal sync failed: {e}");
@@ -663,6 +631,7 @@ pub fn mute_worker_panics() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mehpt_workloads::App;
 
     fn parse(args: &[&str]) -> Result<LabArgs, String> {
         parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -698,7 +667,6 @@ mod tests {
         assert!(parse(&["fig99"]).is_err());
         assert!(parse(&[]).is_err());
         assert!(parse(&["table1", "--frag", "1.5"]).is_err());
-        assert!(parse(&["--inject-panic", "nosuch", "table1"]).is_err());
     }
 
     #[test]
@@ -723,12 +691,6 @@ mod tests {
         assert_eq!(b.journal_path(), PathBuf::from("/tmp/lab/sweep.journal"));
         assert!(parse(&["fig7", "--retries"]).is_err());
         assert!(parse(&["fig7", "--journal"]).is_err());
-    }
-
-    #[test]
-    fn inject_panic_parses_an_app() {
-        let a = parse(&["table1", "--inject-panic", "gups"]).unwrap();
-        assert_eq!(a.inject_panic, Some(App::Gups));
     }
 
     #[test]

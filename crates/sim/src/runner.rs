@@ -1,6 +1,5 @@
 use mehpt_core::MeHpt;
 use mehpt_ecpt::{Ecpt, EcptWalker, Hpt};
-use mehpt_hash::ResizeKind;
 use mehpt_mem::{AllocTag, Fragmenter, PhysMem};
 use mehpt_radix::{RadixPageTable, RadixWalker};
 use mehpt_tlb::{MemoryModel, TlbHierarchy};
@@ -385,11 +384,13 @@ impl ProcState {
             if let Some(t4k) = table.table(PageSize::Base4K) {
                 report.way_sizes_4k = t4k.way_sizes();
                 report.way_phys_4k = t4k.way_phys_bytes();
-                report.upsizes_per_way_4k = upsizes_per_way(&t4k.stats().resizes, 3);
-                report.moved_fraction_4k = moved_fraction(&t4k.stats().resizes);
+                report.upsizes_per_way_4k = t4k.stats().upsizes_per_way(3);
+                // In-place upsizes sit near 0.5; chunk switches and
+                // out-of-place events, so all of ECPT's, are 1.0.
+                report.moved_fraction_4k = t4k.stats().mean_upsize_moved_fraction();
             }
             if let Some(t2m) = table.table(PageSize::Huge2M) {
-                report.upsizes_per_way_2m = upsizes_per_way(&t2m.stats().resizes, 3);
+                report.upsizes_per_way_2m = t2m.stats().upsizes_per_way(3);
             }
             for t in mehpt_types::PAGE_SIZES
                 .iter()
@@ -441,30 +442,6 @@ fn merge_hist(into: &mut Vec<u64>, from: &[u64]) {
     for (dst, &src) in into.iter_mut().zip(from) {
         *dst += src;
     }
-}
-
-fn upsizes_per_way(events: &[mehpt_hash::ResizeEvent], ways: usize) -> Vec<u64> {
-    let mut counts = vec![0u64; ways];
-    for e in events {
-        if e.kind == ResizeKind::Upsize {
-            counts[e.way] += 1;
-        }
-    }
-    counts
-}
-
-/// Mean moved fraction over upsize events (in-place upsizes sit near 0.5;
-/// chunk switches and out-of-place events, so all of ECPT's, are 1.0).
-fn moved_fraction(events: &[mehpt_hash::ResizeEvent]) -> f64 {
-    let ups: Vec<f64> = events
-        .iter()
-        .filter(|e| e.kind == ResizeKind::Upsize && e.moved + e.kept > 0)
-        .map(|e| e.moved as f64 / (e.moved + e.kept) as f64)
-        .collect();
-    if ups.is_empty() {
-        return 0.0;
-    }
-    ups.iter().sum::<f64>() / ups.len() as f64
 }
 
 #[cfg(test)]

@@ -11,6 +11,10 @@ cargo fmt --check
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo check --release --workspace --benches"
+# `cargo test` never builds the bench targets (crates/bench/benches/*).
+cargo check --release --workspace --benches
+
 echo "==> cargo doc --no-deps (deny warnings)"
 # --lib: the mehpt-lab *binary* and the mehpt-lab *library* would collide
 # on target/doc/mehpt_lab; library docs are the ones that matter.
