@@ -6,7 +6,7 @@
 //! simulator charges) and the *behavioural* result of asking the simulated
 //! buddy allocator + fragmenter + compactor for the chunk.
 
-use bench::fmt_bytes;
+use mehpt_lab::fmt::fmt_bytes;
 use mehpt_mem::{AllocCostModel, AllocTag, Fragmenter, PhysMem};
 use mehpt_types::rng::Xoshiro256;
 use mehpt_types::{GIB, KIB, MIB};

@@ -58,8 +58,8 @@ fn main() {
     println!(
         "{:<28} {:>16} {:>16}",
         "peak memory",
-        bench::fmt_bytes(cuckoo_peak),
-        bench::fmt_bytes(level.memory_bytes())
+        mehpt_lab::fmt::fmt_bytes(cuckoo_peak),
+        mehpt_lab::fmt::fmt_bytes(level.memory_bytes())
     );
     println!(
         "{:<28} {:>16.3} {:>16}",

@@ -6,9 +6,9 @@
 //! page-table peak and the machine-wide contiguity requirement are
 //! compared across designs.
 //!
-//! Runs at a fixed 0.25 scale (not cached; ~a minute).
+//! Runs at a fixed 0.25 scale.
 
-use mehpt_sim::{run_multi, MultiConfig, PtKind, SimConfig};
+use mehpt_sim::{run_multi, PtKind, SimConfig};
 use mehpt_types::ByteSize;
 use mehpt_workloads::{App, WorkloadCfg};
 
@@ -33,8 +33,7 @@ fn main() {
                 })
             })
             .collect();
-        let cfg = MultiConfig::paper(SimConfig::paper(kind, false));
-        let r = run_multi(workloads, cfg);
+        let r = run_multi(workloads, SimConfig::paper(kind, false));
         let aborted = r.processes.iter().filter(|p| p.aborted.is_some()).count();
         println!(
             "{:<8} | {:>14} {:>12} {:>12.2} {:>10}{}",

@@ -1,156 +1,19 @@
-//! Shared harness for the benchmark targets that regenerate every table and
-//! figure of *Memory-Efficient Hashed Page Tables* (HPCA 2023).
-//!
-//! The heavy lifting lives in the `mehpt-lab` crate: each paper table or
-//! figure is a [`Preset`] there, and the `[[bench]]` targets here
-//! (`table1`, `fig8` … `fig16`) are thin wrappers that run the matching
-//! preset on the lab's parallel, deterministic engine. Prefer the
-//! `mehpt-lab` binary directly — it adds `--jobs`, `--quick`, fragmentation
-//! sweeps and structured JSON/CSV reports; these targets exist so
-//! `cargo bench --bench fig9` keeps working.
-//!
-//! Environment knobs:
-//!
-//! * `MEHPT_SCALE` — scales workload footprints and access counts
-//!   (default `1.0`, the calibrated paper-matching size; use e.g. `0.1`
-//!   for a quick pass).
-//! * `MEHPT_JOBS` — worker threads (default: available parallelism).
-//!   Results are identical for every value.
-//! * `MEHPT_SEEDS` — replicates per cell (default 1); reports gain
-//!   mean/min/max/95% CI aggregates over the replicate seeds.
+//! Experiments outside the `mehpt-lab` presets. Each `[[bench]]` target
+//! drives page tables, allocators or several processes directly rather
+//! than running grid cells: `alloc_cost` (Sec. III), `levelhash`
+//! (Sec. IX), `radix5` (the la57 motivation), `multiproc` (Sec. IV-C)
+//! and `micro` (host-side operation latency). Run one with
+//! `cargo bench -p bench --bench <name>`. The paper's tables, figures and
+//! the technique ablation are `mehpt-lab` presets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use mehpt_lab::cli::LabArgs;
-use mehpt_lab::engine::{run_cells, RunOptions};
-use mehpt_lab::{ExperimentGrid, LabReport, Preset, Tuning};
-use mehpt_workloads::App;
-
-pub use mehpt_lab::fmt::{fmt_bytes, fmt_mb, geomean};
-pub use mehpt_lab::Variant;
-
-/// The workload scale factor from `MEHPT_SCALE` (default 1.0).
-pub fn scale() -> f64 {
-    std::env::var("MEHPT_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0)
-}
-
-/// Worker threads from `MEHPT_JOBS` (default 0 = available parallelism).
-pub fn jobs() -> usize {
-    std::env::var("MEHPT_JOBS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Replicates per cell from `MEHPT_SEEDS` (default 1; clamped to >= 1).
-pub fn seeds() -> u32 {
-    std::env::var("MEHPT_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// The lab tuning the bench targets run under (`MEHPT_SCALE` applied).
-pub fn tuning() -> Tuning {
-    Tuning {
-        scale: scale(),
-        ..Tuning::default()
-    }
-}
-
-/// Runs one lab preset with the environment's scale/jobs and returns its
-/// exit code (0 unless a cell panicked).
-pub fn run_preset(preset: Preset) -> i32 {
-    // Bench executables run with CWD = crates/bench; anchor the reports at
-    // the workspace target/ like a root `mehpt-lab` invocation would.
-    let mut out = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    out.pop();
-    out.pop();
-    out.push("target");
-    out.push("lab");
-    let args = LabArgs {
-        presets: vec![preset],
-        jobs: jobs(),
-        seeds: seeds(),
-        tuning: tuning(),
-        out,
-        ..LabArgs::default()
-    };
-    mehpt_lab::cli::run(&args)
-}
-
-/// Expands and runs an ad-hoc grid on the lab engine (progress on stderr)
-/// and returns the assembled report. Used by the targets that need cells
-/// outside any preset (`ablation`, `ctx_switch`).
-pub fn run_grid(name: &str, grid: &ExperimentGrid) -> LabReport {
-    let t = tuning();
-    let specs = grid.expand(&t);
-    let opts = RunOptions {
-        jobs: jobs(),
-        seeds: seeds(),
-        retries: 0,
-        timeout: None,
-    };
-    let cells = run_cells(&specs, &opts, &|p| {
-        eprintln!(
-            "[{:>3}/{}] {:>7}  {}",
-            p.done,
-            p.total,
-            p.status.label(),
-            p.id
-        );
-    });
-    LabReport {
-        preset: name.to_string(),
-        scale: t.scale,
-        base_seed: t.base_seed,
-        seeds: seeds(),
-        retries: 0,
-        timeout_secs: None,
-        fault: None,
-        cells,
-    }
-}
 
 /// Prints the banner for one experiment.
 pub fn announce(title: &str, paper_ref: &str) {
     println!();
     println!("================================================================");
     println!("{title}");
-    println!("  (reproduces {paper_ref}; MEHPT_SCALE={})", scale());
+    println!("  (reproduces {paper_ref})");
     println!("================================================================");
-}
-
-/// All eleven apps in the paper's order.
-pub fn apps() -> [App; 11] {
-    App::all()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mehpt_sim::PtKind;
-
-    #[test]
-    fn ad_hoc_grids_run_on_the_lab_engine() {
-        let grid = ExperimentGrid::paper(vec![App::Mummer], vec![PtKind::MeHpt], vec![false]);
-        let t = Tuning {
-            scale: 0.002,
-            ..Tuning::quick()
-        };
-        let specs = grid.expand(&t);
-        let cells = run_cells(&specs, &RunOptions::with_jobs(1), &|_| {});
-        assert_eq!(cells.len(), 1);
-        assert!(cells[0].metrics.is_some());
-    }
-
-    #[test]
-    fn geomean_matches_hand_computation() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-9);
-    }
 }

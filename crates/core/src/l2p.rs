@@ -3,6 +3,12 @@ use mehpt_hash::chunks_for;
 use mehpt_mem::Chunk;
 use mehpt_types::PageSize;
 
+/// Bits of MMU state per L2P entry (Section V-B: a 33-bit chunk base).
+const ENTRY_BITS: u64 = 33;
+/// Modeled cycles to move one 8-byte word of L2P state between the MMU
+/// and memory (streaming register I/O).
+const QWORD_CYCLES: u64 = 4;
+
 /// The Logical-to-Physical (L2P) table: the MMU-resident indirection table
 /// that lets an HPT way live in discontiguous physical-memory chunks
 /// (Section IV-A).
@@ -181,7 +187,15 @@ impl L2pTable {
     /// (Section V-B: "32 entries × 3 ways × 3 page sizes × 33 bits =
     /// 1.16KB").
     pub fn state_bytes(&self) -> f64 {
-        self.total_entries() as f64 * 33.0 / 8.0
+        self.total_entries() as f64 * ENTRY_BITS as f64 / 8.0
+    }
+
+    /// Cycles the OS spends saving `entries` live L2P entries on a context
+    /// switch out and restoring them on the switch back in (Section V-C):
+    /// ⌈33·entries/8⌉ bytes, moved as 8-byte words at 4 cycles each, twice.
+    pub fn save_restore_cycles(entries: u64) -> u64 {
+        let bytes = (entries * ENTRY_BITS).div_ceil(8);
+        2 * QWORD_CYCLES * bytes.div_ceil(8)
     }
 }
 
@@ -295,6 +309,17 @@ mod tests {
         assert_eq!(l2p.total_entries(), 288);
         assert_eq!(l2p.used_entries(), 0);
         assert!((l2p.state_bytes() - 1188.0).abs() < 1.0); // ≈1.16KB
+    }
+
+    #[test]
+    fn save_restore_cycles_follow_the_33_bit_entries() {
+        assert_eq!(L2pTable::save_restore_cycles(0), 0);
+        // 99 bits -> 13 bytes -> 2 words, saved and restored.
+        assert_eq!(L2pTable::save_restore_cycles(3), 16);
+        // GUPS/SysBench: every stolen-capacity 4KB entry (792 bytes).
+        assert_eq!(L2pTable::save_restore_cycles(192), 792);
+        // The whole 288-entry table (1188 bytes -> 149 words).
+        assert_eq!(L2pTable::save_restore_cycles(288), 1192);
     }
 
     #[test]

@@ -39,6 +39,7 @@ USAGE:
 
 PRESETS:
     table1 table2 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16
+    ablation
 
 OPTIONS:
     --preset NAME      add a preset (same as the bare word)

@@ -1,13 +1,14 @@
-//! Named experiment presets: the paper's tables and figures as grids.
+//! Named experiment presets: the paper's tables and figures, and the
+//! Sec. VII-D technique ablation, as grids.
 //!
 //! Each preset couples an [`ExperimentGrid`] (which cells to run) with a
-//! renderer that turns the sweep's [`LabReport`] into the same table the
-//! corresponding `crates/bench` target used to print. `mehpt-lab all`
-//! unions every preset's cells, runs each distinct cell once, and renders
-//! all presets from the shared results.
+//! renderer that turns the sweep's [`LabReport`] into the paper-style
+//! table. `mehpt-lab all` unions every preset's cells, runs each distinct
+//! cell once, and renders all presets from the shared results.
 
 use std::fmt::Write as _;
 
+use mehpt_core::L2pTable;
 use mehpt_ecpt::{ClusterEntry, CLUSTER_PTES};
 use mehpt_sim::PtKind;
 use mehpt_types::PageSize;
@@ -44,10 +45,12 @@ pub enum Preset {
     Fig15,
     /// Figure 16 — cuckoo re-insertion distribution.
     Fig16,
+    /// Section VII-D — each ME-HPT technique toggled independently.
+    Ablation,
 }
 
 /// Every preset, in the paper's order.
-pub const PRESETS: [Preset; 12] = [
+pub const PRESETS: [Preset; 13] = [
     Preset::Table1,
     Preset::Table2,
     Preset::Fig7,
@@ -60,6 +63,7 @@ pub const PRESETS: [Preset; 12] = [
     Preset::Fig14,
     Preset::Fig15,
     Preset::Fig16,
+    Preset::Ablation,
 ];
 
 impl Preset {
@@ -78,6 +82,7 @@ impl Preset {
             Preset::Fig14 => "fig14",
             Preset::Fig15 => "fig15",
             Preset::Fig16 => "fig16",
+            Preset::Ablation => "ablation",
         }
     }
 
@@ -101,6 +106,9 @@ impl Preset {
             Preset::Fig14 => "Figure 14: L2P table entries used per application",
             Preset::Fig15 => "Figure 15: Average 4KB-HPT way memory for small graphs",
             Preset::Fig16 => "Figure 16: Cuckoo re-insertions per insertion or rehash (ME-HPT)",
+            Preset::Ablation => {
+                "Ablation (Sec. VII-D): each ME-HPT technique toggled independently"
+            }
         }
     }
 
@@ -155,6 +163,15 @@ impl Preset {
                 grid
             }
             Preset::Fig16 => ExperimentGrid::paper(all, vec![PtKind::MeHpt], vec![false]),
+            Preset::Ablation => {
+                let mut grid = ExperimentGrid::paper(
+                    ABLATION_APPS.to_vec(),
+                    vec![PtKind::Ecpt, PtKind::MeHpt],
+                    vec![false],
+                );
+                grid.variants = ABLATION_VARIANTS.map(|(_, v)| v).to_vec();
+                grid
+            }
         }
     }
 
@@ -191,12 +208,27 @@ impl Preset {
             Preset::Fig14 => render_fig14(report, &mut out),
             Preset::Fig15 => render_fig15(report, &mut out),
             Preset::Fig16 => render_fig16(report, &mut out),
+            Preset::Ablation => render_ablation(report, &mut out),
         }
         out
     }
 }
 
 const FULL: Variant = Variant::Full;
+
+/// The ablation's apps: GUPS carries Sec. VII-D's argument, BFS and
+/// MUMmer are a graph and a mixed workload.
+const ABLATION_APPS: [App; 3] = [App::Gups, App::Bfs, App::Mummer];
+
+/// The ablation's ME-HPT rows (label, variant), shown under the ECPT
+/// baseline row.
+const ABLATION_VARIANTS: [(&str, Variant); 5] = [
+    ("ME-HPT full", Variant::Full),
+    ("  - in-place resizing", Variant::NoInPlace),
+    ("  - per-way resizing", Variant::NoPerWay),
+    ("  - both", Variant::Neither),
+    ("  1MB-only chunks", Variant::Fixed1Mb),
+];
 
 fn render_table1(r: &LabReport, out: &mut String) {
     let _ = writeln!(
@@ -806,10 +838,18 @@ fn render_fig13(r: &LabReport, out: &mut String) {
 }
 
 fn render_fig14(r: &LabReport, out: &mut String) {
-    let _ = writeln!(out, "{:<9} | {:>8} {:>8}", "App", "no THP", "THP");
-    let _ = writeln!(out, "{}", "-".repeat(32));
+    // The L2P lives in the MMU, so the OS saves and restores its live
+    // entries on every context switch (Sec. V-C); the last column is that
+    // cost for the no-THP run.
+    let _ = writeln!(
+        out,
+        "{:<9} | {:>8} {:>8} | {:>10}",
+        "App", "no THP", "THP", "switch cyc"
+    );
+    let _ = writeln!(out, "{}", "-".repeat(45));
     let mut total = 0u64;
     let mut n = 0u64;
+    let mut switch_total = 0u64;
     for app in App::all() {
         let (Some(plain), Some(thp)) = (
             r.metrics(app, PtKind::MeHpt, false, FULL),
@@ -820,19 +860,33 @@ fn render_fig14(r: &LabReport, out: &mut String) {
         };
         total += plain.l2p_entries_used + thp.l2p_entries_used;
         n += 2;
+        let switch = L2pTable::save_restore_cycles(plain.l2p_entries_used);
+        switch_total += switch;
         let _ = writeln!(
             out,
-            "{:<9} | {:>8} {:>8}",
+            "{:<9} | {:>8} {:>8} | {:>10}",
             app.name(),
             plain.l2p_entries_used,
-            thp.l2p_entries_used
+            thp.l2p_entries_used,
+            switch
         );
     }
-    let _ = writeln!(out, "{}", "-".repeat(32));
+    let _ = writeln!(out, "{}", "-".repeat(45));
     let _ = writeln!(
         out,
         "Average entries used: {:.1} of 288",
         total as f64 / n.max(1) as f64
+    );
+    let full = L2pTable::save_restore_cycles(288);
+    let _ = writeln!(
+        out,
+        "L2P save+restore per context switch (no THP): {:.0} cycles on average;",
+        switch_total as f64 / (n / 2).max(1) as f64
+    );
+    let _ = writeln!(
+        out,
+        "a full 288-entry save would be {full} ({:.2}% of a 1ms slice at 2GHz).",
+        100.0 * full as f64 / 2e6
     );
     let _ = writeln!(out);
     let _ = writeln!(
@@ -843,7 +897,10 @@ fn render_fig14(r: &LabReport, out: &mut String) {
         out,
         "SysBench use 192 (all 64 stolen-capacity entries of the three 4KB"
     );
-    let _ = writeln!(out, "subtables).");
+    let _ = writeln!(
+        out,
+        "subtables). Sec. V-C: the L2P save/restore overhead is \"modest\"."
+    );
 }
 
 fn render_fig15(r: &LabReport, out: &mut String) {
@@ -952,10 +1009,57 @@ fn render_fig16(r: &LabReport, out: &mut String) {
     let _ = writeln!(out, "re-insertions per insertion or rehash on average.");
 }
 
+fn render_ablation(r: &LabReport, out: &mut String) {
+    let rows = std::iter::once(("ECPT baseline", PtKind::Ecpt, FULL))
+        .chain(ABLATION_VARIANTS.map(|(label, v)| (label, PtKind::MeHpt, v)));
+    for app in ABLATION_APPS {
+        let _ = writeln!(out, "\n--- {} (no THP) ---", app.name());
+        let _ = writeln!(
+            out,
+            "{:<22} | {:>10} {:>10} {:>10} {:>8}",
+            "variant", "peak PT", "contig", "cycles(G)", "switches"
+        );
+        let _ = writeln!(out, "{}", "-".repeat(70));
+        for (label, kind, variant) in rows.clone() {
+            let Some(m) = r.metrics(app, kind, false, variant) else {
+                let _ = writeln!(out, "{label:<22} | (cell missing or failed)");
+                continue;
+            };
+            let switches = match kind {
+                PtKind::MeHpt => m.chunk_switches.to_string(),
+                _ => "-".to_string(),
+            };
+            let _ = writeln!(
+                out,
+                "{:<22} | {:>10} {:>10} {:>10.2} {:>8}",
+                label,
+                fmt_bytes(m.pt_peak_bytes),
+                fmt_bytes(m.pt_max_contiguous),
+                m.total_cycles as f64 / 1e9,
+                switches
+            );
+        }
+    }
+    let _ = writeln!(out);
+    let _ = writeln!(
+        out,
+        "Paper's Section VII-D: without the two size-reducing techniques,"
+    );
+    let _ = writeln!(
+        out,
+        "GUPS/SysBench would need 288 L2P entries (> the 192 available for"
+    );
+    let _ = writeln!(
+        out,
+        "one page size), forcing 8MB chunks; with them, 1MB chunks suffice."
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::Tuning;
+    use crate::report::{CellMetrics, CellResult, RepResult};
 
     #[test]
     fn preset_names_round_trip() {
@@ -983,6 +1087,83 @@ mod tests {
     }
 
     #[test]
+    fn ablation_grid_is_three_apps_by_ecpt_and_five_mehpt_variants() {
+        let cells = Preset::Ablation.grid().expand(&Tuning::quick());
+        let mut expected = Vec::new();
+        for app in ["GUPS", "BFS", "MUMmer"] {
+            expected.push(format!("{app}-ecpt-nothp-full-n1000000-f70"));
+            for v in ["full", "noinplace", "noperway", "neither", "fixed1mb"] {
+                expected.push(format!("{app}-mehpt-nothp-{v}-n1000000-f70"));
+            }
+        }
+        let ids: Vec<String> = cells.iter().map(|c| c.id()).collect();
+        assert_eq!(ids, expected);
+    }
+
+    fn synthetic_metrics(kind: PtKind) -> CellMetrics {
+        CellMetrics {
+            accesses: 1000,
+            total_cycles: 2_500_000_000,
+            base_cycles: 1000,
+            translation_cycles: 2000,
+            fault_cycles: 300,
+            alloc_cycles: 200,
+            os_pt_cycles: 100,
+            faults: 42,
+            pages_4k: 512,
+            pages_2m: 2,
+            tlb_miss_rate: 0.125,
+            walks: 125,
+            mean_walk_accesses: 1.5,
+            mean_walk_cycles: 33.25,
+            pt_final_bytes: 1 << 20,
+            pt_peak_bytes: 3 << 20,
+            pt_max_contiguous: 1 << 20,
+            way_sizes_4k: vec![16384, 16384, 8192],
+            way_phys_4k: vec![16384, 8192, 8192],
+            upsizes_per_way_4k: vec![1, 1, 0],
+            upsizes_per_way_2m: vec![],
+            moved_fraction_4k: 0.5,
+            kicks_histogram: vec![900, 90, 10],
+            l2p_entries_used: if kind == PtKind::MeHpt { 192 } else { 0 },
+            chunk_switches: 1,
+            data_bytes_nominal: 1 << 30,
+        }
+    }
+
+    /// A report holding every cell of `preset`, each ok with
+    /// [`synthetic_metrics`].
+    fn synthetic_report(preset: Preset) -> LabReport {
+        let cells = preset
+            .grid()
+            .expand(&Tuning::quick())
+            .into_iter()
+            .map(|spec| {
+                let rep = RepResult {
+                    replicate: 0,
+                    seed: spec.seed,
+                    status: CellStatus::Ok,
+                    metrics: Some(synthetic_metrics(spec.kind)),
+                    error: None,
+                    wall_millis: 0,
+                    attempts: vec![],
+                };
+                CellResult::single(spec, rep)
+            })
+            .collect();
+        LabReport {
+            preset: preset.name().into(),
+            scale: 0.005,
+            base_seed: 0x5eed,
+            seeds: 1,
+            retries: 0,
+            timeout_secs: None,
+            fault: None,
+            cells,
+        }
+    }
+
+    #[test]
     fn table2_renders_without_any_cells() {
         let report = LabReport {
             preset: "table2".into(),
@@ -1000,8 +1181,8 @@ mod tests {
     }
 
     #[test]
-    fn renderers_tolerate_missing_cells() {
-        let report = LabReport {
+    fn every_preset_renders_with_and_without_its_cells() {
+        let empty = LabReport {
             preset: "x".into(),
             scale: 1.0,
             base_seed: 0,
@@ -1012,8 +1193,37 @@ mod tests {
             cells: vec![],
         };
         for p in PRESETS {
-            let s = p.render(&report);
+            let s = p.render(&empty);
             assert!(!s.is_empty());
+            let s = p.render(&synthetic_report(p));
+            assert!(!s.contains("missing or failed"), "{}:\n{s}", p.name());
         }
+
+        let fig14 = Preset::Fig14.render(&synthetic_report(Preset::Fig14));
+        // 192 entries: 792 bytes = 99 words, saved and restored at 4
+        // cycles per word.
+        assert!(fig14.contains("switch cyc"), "{fig14}");
+        assert!(
+            fig14.contains("GUPS      |      192      192 |        792"),
+            "{fig14}"
+        );
+        assert!(fig14.contains("792 cycles on average"), "{fig14}");
+        assert!(
+            fig14.contains("full 288-entry save would be 1192"),
+            "{fig14}"
+        );
+
+        let ablation = Preset::Ablation.render(&synthetic_report(Preset::Ablation));
+        for app in ABLATION_APPS {
+            assert!(ablation.contains(&format!("--- {} (no THP) ---", app.name())));
+        }
+        assert!(
+            ablation.contains("ECPT baseline          |        3MB        1MB       2.50        -"),
+            "{ablation}"
+        );
+        assert!(
+            ablation.contains("  1MB-only chunks      |        3MB        1MB       2.50        1"),
+            "{ablation}"
+        );
     }
 }

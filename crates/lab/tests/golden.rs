@@ -15,7 +15,7 @@
 //!   (blessing never touches it); it pins the *reader* side: `mehpt-lab
 //!   diff` must keep accepting v3 documents.
 //! * `tests/golden/report_v2.json` — the older frozen fixture, from
-//!   before failure records existed; pins the diff fallback path.
+//!   before failure records existed; pins that `diff` still reads it.
 //! * `tests/golden/journal_v1.bin` — the journal format (magic, framed
 //!   CRC-checksummed records), byte-pinned against the same report; the
 //!   same fixture, corrupted on copies, pins the recovery semantics.
@@ -261,10 +261,11 @@ fn v3_golden_still_reads_as_a_frozen_fixture() {
 }
 
 #[test]
-fn v2_golden_still_reads_through_the_fallback_path() {
+fn v2_golden_diffs_through_its_stats_blocks() {
     // The frozen v2 fixture: parses, identifies as schema 2, and diffs
-    // clean against itself — including its failed cell, which the diff
-    // fallback reader must skip (and count) rather than reject.
+    // clean against itself through its per-cell `stats` blocks —
+    // including its failed cell, which the diff must skip (and count)
+    // rather than reject.
     let text = std::fs::read_to_string(golden_path("report_v2.json"))
         .expect("tests/golden/report_v2.json is a frozen fixture and must stay committed");
     let doc = Json::parse(&text).expect("v2 fixture parses");

@@ -42,7 +42,7 @@ mod report;
 mod runner;
 
 pub use config::{PtKind, SimConfig};
-pub use multi::{run_multi, MultiConfig, MultiReport};
+pub use multi::{run_multi, MultiReport};
 pub use report::SimReport;
 pub use runner::Simulator;
 

@@ -1,3 +1,4 @@
+use mehpt_core::L2pTable;
 use mehpt_mem::{AllocTag, Fragmenter, PhysMem};
 use mehpt_tlb::{MemoryModel, TlbHierarchy};
 use mehpt_types::rng::Xoshiro256;
@@ -6,32 +7,11 @@ use mehpt_workloads::Workload;
 use crate::runner::ProcState;
 use crate::{SimConfig, SimReport};
 
-/// Configuration of a multiprogrammed run.
-#[derive(Clone, Debug)]
-pub struct MultiConfig {
-    /// The per-process simulation configuration (page-table kind, THP,
-    /// cost constants). Memory size and fragmentation apply machine-wide.
-    pub base: SimConfig,
-    /// Accesses per scheduling slice before the next process runs.
-    pub time_slice: u64,
-    /// Fixed OS cost of a context switch (register state, scheduler).
-    pub switch_cycles: u64,
-    /// Cycles per 8 bytes of L2P state saved + restored on a switch
-    /// (ME-HPT only; Section V-C).
-    pub l2p_qword_cycles: u64,
-}
-
-impl MultiConfig {
-    /// Paper-flavored defaults: 50K-access slices, 1000-cycle switches.
-    pub fn paper(base: SimConfig) -> MultiConfig {
-        MultiConfig {
-            base,
-            time_slice: 50_000,
-            switch_cycles: 1_000,
-            l2p_qword_cycles: 4,
-        }
-    }
-}
+/// Accesses per scheduling slice before the next process runs.
+const TIME_SLICE: u64 = 50_000;
+/// Fixed OS cost of a context switch (register state, scheduler), in
+/// cycles; ME-HPT adds its L2P save/restore on top.
+const SWITCH_CYCLES: u64 = 1_000;
 
 /// The outcome of a multiprogrammed run.
 #[derive(Clone, Debug)]
@@ -62,24 +42,27 @@ impl MultiReport {
 /// shared physical memory — each process with its own page table of the
 /// configured kind.
 ///
-/// On every context switch the TLB and the incoming/outgoing process's
-/// walker caches are flushed, and (for ME-HPT) the L2P table's live
-/// entries are saved and restored at `l2p_qword_cycles` per 8 bytes.
+/// `cfg` is the per-process configuration (page-table kind, THP, cost
+/// constants); its memory size and fragmentation apply machine-wide.
+/// Processes run 50K-access slices. Every context switch costs 1000
+/// cycles, flushes the TLB and the incoming process's walker caches, and
+/// (for ME-HPT) saves and restores the L2P table's live entries
+/// ([`L2pTable::save_restore_cycles`]).
 ///
 /// # Panics
 ///
 /// Panics if `workloads` is empty or the initial page tables cannot be
 /// allocated.
-pub fn run_multi(workloads: Vec<Workload>, cfg: MultiConfig) -> MultiReport {
+pub fn run_multi(workloads: Vec<Workload>, cfg: SimConfig) -> MultiReport {
     assert!(!workloads.is_empty(), "need at least one workload");
-    let mut mem = PhysMem::new(cfg.base.mem_bytes);
-    let mut rng = Xoshiro256::seed_from_u64(cfg.base.seed);
-    let _ballast = Fragmenter::fragment(&mut mem, cfg.base.fragmentation, &mut rng);
+    let mut mem = PhysMem::new(cfg.mem_bytes);
+    let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
+    let _ballast = Fragmenter::fragment(&mut mem, cfg.fragmentation, &mut rng);
     let mut tlb = TlbHierarchy::paper_default();
     let mut dram = MemoryModel::paper_default();
     let mut procs: Vec<ProcState> = workloads
         .into_iter()
-        .map(|wl| ProcState::new(wl, &cfg.base, &mut mem))
+        .map(|wl| ProcState::new(wl, &cfg, &mut mem))
         .collect();
 
     let mut switches = 0u64;
@@ -95,12 +78,12 @@ pub fn run_multi(workloads: Vec<Workload>, cfg: MultiConfig) -> MultiReport {
             // the switch + L2P restore bill.
             tlb.flush();
             proc.flush_walker();
-            let l2p_bytes = (proc.l2p_entries_used() as u64 * 33).div_ceil(8);
-            let cost = cfg.switch_cycles + 2 * cfg.l2p_qword_cycles * l2p_bytes.div_ceil(8);
+            let cost =
+                SWITCH_CYCLES + L2pTable::save_restore_cycles(proc.l2p_entries_used() as u64);
             switches += 1;
             switch_cycles_total += cost;
-            for _ in 0..cfg.time_slice {
-                if !proc.step(&cfg.base, &mut mem, &mut tlb, &mut dram) {
+            for _ in 0..TIME_SLICE {
+                if !proc.step(&cfg, &mut mem, &mut tlb, &mut dram) {
                     break;
                 }
             }
@@ -115,7 +98,7 @@ pub fn run_multi(workloads: Vec<Workload>, cfg: MultiConfig) -> MultiReport {
     peak_pt = peak_pt.max(mem.stats().tag(AllocTag::PageTable).peak_bytes);
     let processes = procs
         .into_iter()
-        .map(|p| p.into_report(&cfg.base, &mem))
+        .map(|p| p.into_report(&cfg, &mem))
         .collect();
     MultiReport {
         processes,
@@ -140,10 +123,10 @@ mod tests {
         })
     }
 
-    fn cfg(kind: PtKind) -> MultiConfig {
+    fn cfg(kind: PtKind) -> SimConfig {
         let mut base = SimConfig::paper(kind, false);
         base.mem_bytes = 2 * GIB;
-        MultiConfig::paper(base)
+        base
     }
 
     #[test]

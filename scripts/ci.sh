@@ -12,7 +12,8 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo check --release --workspace --benches"
-# `cargo test` never builds the bench targets (crates/bench/benches/*).
+# `cargo test` never builds the bench targets (crates/bench/benches/*:
+# alloc_cost, levelhash, micro, multiproc, radix5).
 cargo check --release --workspace --benches
 
 echo "==> cargo doc --no-deps (deny warnings)"
@@ -49,6 +50,15 @@ echo "==> determinism: --jobs 1 and --jobs 4 must emit identical reports"
 ./target/release/mehpt-lab diff \
     target/lab-ci-j1/fig7/report.json target/lab-ci-j4/fig7/report.json
 cmp target/lab-ci-j1/fig7/report.csv target/lab-ci-j4/fig7/report.csv
+
+echo "==> ablation: --jobs 1 and --jobs 2 must emit identical reports"
+./target/release/mehpt-lab ablation --jobs 1 --quick --max-accesses 20000 \
+    --out target/lab-ci-abl-j1 >/dev/null 2>&1
+./target/release/mehpt-lab ablation --jobs 2 --quick --max-accesses 20000 \
+    --out target/lab-ci-abl-j2 >/dev/null 2>&1
+./target/release/mehpt-lab diff \
+    target/lab-ci-abl-j1/ablation/report.json target/lab-ci-abl-j2/ablation/report.json
+cmp target/lab-ci-abl-j1/ablation/report.csv target/lab-ci-abl-j2/ablation/report.csv
 
 # A faulted sweep exits 1 (failed cells in the report) — that exact code,
 # not 0 (fault silently skipped) and not ≥2 (crash), is the contract.
